@@ -16,7 +16,6 @@ from .errors import (
     InfeasibleScale,
     NonHermitianInput,
     OddSide,
-    QuadratureFailure,
     RangeError,
     RegimeViolation,
     SolverStall,

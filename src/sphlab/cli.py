@@ -15,6 +15,7 @@ import hashlib
 import importlib.resources
 import io
 import math
+import os
 import sys
 
 import numpy as np
@@ -350,8 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(parser, argv)
-    except OSError as exc:
-        parser.error(str(exc))
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config: {exc}")
     args = parser.parse_args(argv)
     missing = [name for name in _REQUIRED[args.command] if getattr(args, name) is None]
     if missing:
@@ -360,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("the residual survey needs lambda >= 1")
     if args.command == "ratio-survey" and any(lam <= 0 for lam in args.lambdas):
         parser.error("ratio-survey needs strictly positive lambda values")
+    thresholds = getattr(args, "thresholds", None)
+    if thresholds and not args.refreeze and not os.path.exists(thresholds):
+        parser.error(f"--thresholds file {thresholds} does not exist (pass --refreeze to create it)")
     try:
         return _COMMANDS[args.command](args)
     except InfeasibleScale as exc:

@@ -17,10 +17,6 @@ class CapExceeded(SphlabError):
     """Sphere enumeration would exceed the caller-supplied point cap."""
 
 
-class QuadratureFailure(SphlabError):
-    """Adaptive quadrature did not reach the requested tolerance."""
-
-
 class RegimeViolation(SphlabError):
     """A (dimension, squared-radius) pair violates a survey regime precondition."""
 

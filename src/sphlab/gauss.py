@@ -213,7 +213,12 @@ def eval_major_arc_term(spec: SphereSpec, frac: FareyFraction, xi) -> complex:
 
 @lru_cache(maxsize=None)
 def _farey_sorted(n: int) -> tuple[FareyFraction, ...]:
-    return tuple(sorted(farey_set(n), key=lambda f: (f.q, f.p)))
+    """The arc fractions p/q with 1 <= p <= q <= n, ordered by (q, p).
+
+    farey_set holds both 0/1 and 1/1, which index the same q = 1 arc; the
+    Magyar-Stein-Wainger convention 1 <= p <= q keeps each arc once.
+    """
+    return tuple(sorted((f for f in farey_set(n) if f.p >= 1), key=lambda f: (f.q, f.p)))
 
 
 def eval_minor_term(spec: SphereSpec, n: int, xi) -> complex:

@@ -2,10 +2,12 @@
 
 For selfadjoint families the maximal norm is the smallest p-norm of a
 positive majorant a with -a <= x_k <= a in the Loewner order.  The problem
-decouples over sites for p in {2, inf}; each fiber problem is solved by a
-cutting-plane scheme on eigenvector linearizations, with a final identity
-shift that certifies feasibility.  The scalar (n = 1) case collapses to the
-pointwise supremum and serves as an exact oracle.
+decouples over sites for p in {2, inf}.  At p = inf the optimal majorant is
+the closed form max_k ||x_k||_op times the identity at each site.  At p = 2
+each fiber problem is solved by a cutting-plane scheme on eigenvector
+linearizations, with a final identity shift that certifies feasibility.
+The scalar (n = 1) case collapses to the pointwise supremum and serves as
+an exact oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, NonHermitianInput
 from .fields import DyadicRange, TorusField, dyadic_maximal
@@ -216,30 +217,26 @@ def _push_cut(rows: list[np.ndarray], rhs: list[float], row: np.ndarray, bound: 
     rhs.append(bound)
 
 
-def _solve_site(xs: np.ndarray, p: float, tol: float, max_iter: int):
-    """Cutting-plane solve of one fiber problem; returns (a, norm, converged, iters).
+def _solve_site(xs: np.ndarray, tol: float, max_iter: int):
+    """Cutting-plane solve of one p = 2 fiber problem; returns (a, norm, converged, iters).
 
-    Each master solve gives a lower bound; shifting the master point by the
-    identity times its feasibility slack gives a feasible upper bound.  The
-    loop stops once the two are within ``tol``.
+    Each least-distance master solve gives a lower bound on the Frobenius
+    norm; shifting the master point by the identity times its feasibility
+    slack gives a feasible upper bound.  The loop stops once the two are
+    within ``tol``.
     """
     n = xs.shape[-1]
     dim = n * n
     eye = np.eye(n)
 
-    warm = np.zeros((n, n), dtype=complex)
-    for x in xs:
-        warm += _matrix_abs(x)
-    warm_top = float(np.linalg.eigvalsh(warm)[-1]) if n else 0.0
-
     def norm_of(m: np.ndarray) -> float:
-        if p == math.inf:
-            return float(np.linalg.eigvalsh(m)[-1])
         return float(np.sqrt(np.sum(np.abs(m) ** 2)))
 
-    best = warm
-    best_norm = norm_of(warm)
-    # the scaled identity is always feasible and is optimal for p = inf
+    best = np.zeros((n, n), dtype=complex)
+    for x in xs:
+        best += _matrix_abs(x)
+    best_norm = norm_of(best)
+    # the scaled identity max_k ||x_k||_op I is always feasible
     spread = max((float(np.abs(np.linalg.eigvalsh(x)).max()) for x in xs), default=0.0)
     identity_start = spread * np.eye(n, dtype=complex)
     if norm_of(identity_start) < best_norm:
@@ -247,45 +244,17 @@ def _solve_site(xs: np.ndarray, p: float, tol: float, max_iter: int):
 
     rows: list[np.ndarray] = []
     rhs: list[float] = []
-    epi_rows: list[np.ndarray] = []
     for x in xs:
         vals, vecs = np.linalg.eigh(x)
         for idx in range(n):
             v = vecs[:, idx]
-            cut = _vec(np.outer(v, np.conj(v)))
-            rows.append(cut)
+            rows.append(_vec(np.outer(v, np.conj(v))))
             rhs.append(abs(float(vals[idx])))
-            # any unit vector supports the top-eigenvalue epigraph
-            epi_rows.append(cut)
-    if p == math.inf:
-        vals, vecs = np.linalg.eigh(warm)
-        v = vecs[:, -1]
-        epi_rows.append(_vec(np.outer(v, np.conj(v))))
-    box = warm_top * math.sqrt(n) + 1.0
 
     converged = False
     iters = 0
     for iters in range(1, max_iter + 1):
-        row_arr = np.asarray(rows)
-        rhs_arr = np.asarray(rhs)
-        if p == math.inf:
-            n_feas, n_epi = row_arr.shape[0], len(epi_rows)
-            a_ub = np.zeros((n_feas + n_epi, dim + 1))
-            b_ub = np.zeros(n_feas + n_epi)
-            a_ub[:n_feas, :dim] = -row_arr
-            b_ub[:n_feas] = -rhs_arr
-            for e_idx, e_row in enumerate(epi_rows):
-                a_ub[n_feas + e_idx, :dim] = e_row
-                a_ub[n_feas + e_idx, dim] = -1.0
-            cost = np.zeros(dim + 1)
-            cost[dim] = 1.0
-            bounds = [(-box, box)] * dim + [(0.0, box + 1.0)]
-            res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            if res.status != 0:
-                break
-            w, lower = res.x[:dim], float(res.fun)
-        else:
-            w, lower = _min_ldp(row_arr, rhs_arr, dim)
+        w, lower = _min_ldp(np.asarray(rows), np.asarray(rhs), dim)
         a = _mat(w, n)
 
         slack = _feasibility_slack(a, xs)
@@ -305,10 +274,6 @@ def _solve_site(xs: np.ndarray, p: float, tol: float, max_iter: int):
                         break
                     v = vecs[:, idx]
                     _push_cut(rows, rhs, _vec(np.outer(v, np.conj(v))), float(-sign * (np.conj(v) @ x @ v).real))
-        if p == math.inf:
-            vals, vecs = np.linalg.eigh(a)
-            v = vecs[:, -1]
-            epi_rows.append(_vec(np.outer(v, np.conj(v))))
     return best, best_norm, converged, iters
 
 
@@ -317,29 +282,34 @@ def order_interval_majorant(
 ) -> MajorantSolution:
     """Smallest-norm positive a with -a <= x_k <= a at every site.
 
-    The fiber problems are independent: p = inf minimizes the top eigenvalue
-    per site and takes the max, p = 2 minimizes the squared Frobenius mass
-    per site and sums.  ``tol`` controls both the eigenvalue separation
-    threshold and the certified distance to the infimum.
+    The fiber problems are independent.  At p = inf every feasible a has top
+    eigenvalue at least max_k ||x_k||_op, and that multiple of the identity
+    is feasible, so it is the majorant at each site and no iteration runs.
+    At p = 2 each site minimizes its Frobenius mass by the cutting plane and
+    the site norms are summed in squares; ``tol`` is the certified distance
+    to the infimum and ``max_iter`` the per-site iteration budget.
     """
     p = _check_p(p)
     if stack.family_size < 1:
         raise DomainError("need at least one family member")
     if stack.fiber > 8:
         raise DomainError("fiber sizes above 8 are out of scope")
-    majorant = np.zeros((stack.sites, stack.fiber, stack.fiber), dtype=complex)
-    site_norm = np.zeros(stack.sites)
-    all_converged = True
-    total_iters = 0
-    for s in range(stack.sites):
-        a, norm, converged, iters = _solve_site(stack.matrices[:, s], p, tol, max_iter)
-        majorant[s] = a
-        site_norm[s] = norm
-        all_converged &= converged
-        total_iters += iters
     if p == math.inf:
-        value = float(site_norm.max(initial=0.0))
+        spread = np.abs(np.linalg.eigvalsh(stack.matrices)).max(axis=(0, -1))
+        majorant = spread[:, np.newaxis, np.newaxis] * np.eye(stack.fiber, dtype=complex)
+        value = float(spread.max(initial=0.0))
+        all_converged, total_iters = True, 0
     else:
+        majorant = np.zeros((stack.sites, stack.fiber, stack.fiber), dtype=complex)
+        site_norm = np.zeros(stack.sites)
+        all_converged = True
+        total_iters = 0
+        for s in range(stack.sites):
+            a, norm, converged, iters = _solve_site(stack.matrices[:, s], tol, max_iter)
+            majorant[s] = a
+            site_norm[s] = norm
+            all_converged &= converged
+            total_iters += iters
         value = float(np.sqrt(np.sum(site_norm**2)))
     gap = 0.0
     for s in range(stack.sites):

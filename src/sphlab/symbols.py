@@ -2,8 +2,9 @@
 
 Covers the normalized exponential sum over a lattice sphere, its two
 Gaussian approximants, the discrete heat-semigroup symbol, the Fourier
-transform of the normalized surface measure of the continuous sphere, and
-sampled surveys of how well the approximants track the exact symbol.
+transform of the normalized surface measure of the continuous sphere (in
+its Bessel closed form), and sampled surveys of how well the approximants
+track the exact symbol.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import gamma, jv
 
-from .errors import DomainError, EmptySphere, QuadratureFailure, RegimeViolation
+from .errors import DomainError, EmptySphere, RegimeViolation
 from .lattice import SphereSpec, enumerate_sphere, representation_count
 
 __all__ = [
@@ -147,43 +148,19 @@ def eval_semigroup_symbol(time: float, xi) -> float:
 def eval_continuous_sphere_symbol(d: int, radius: float) -> float:
     """Fourier transform of the normalized surface measure at radial frequency.
 
-    Evaluated as the projection integral
-        int cos(2 pi r s) (1 - s^2)^((d-3)/2) ds / int (1 - s^2)^((d-3)/2) ds
-    over s in [-1, 1], after the substitution s = sin(u) that removes the
-    d = 2 endpoint singularity.  Adaptive quadrature to 1e-10 absolute.
+    Evaluated in the Bessel closed form
+        Gamma(d/2) (pi r)^(1 - d/2) J_(d/2 - 1)(2 pi r)
+    of Grafakos, Classical Fourier Analysis, App. B.4.  Below r = 1e-9 the
+    value 1 - 2 pi^2 r^2 / d rounds to 1.0, which is returned directly; that
+    keeps r = 0 exact and avoids underflow of both factors at tiny r.
     """
     if d < 2:
         raise DomainError(f"needs d >= 2, got {d}")
     radius = abs(float(radius))
-    power = d - 2
-    half_pi = math.pi / 2.0
-    # subinterval budget grows with the oscillation count 2*radius; the
-    # integrand is even in u, so integrate the half interval and double
-    limit = max(200, int(40 * radius) + 200)
-
-    def numerator(u: float) -> float:
-        return math.cos(2.0 * math.pi * radius * math.sin(u)) * math.cos(u) ** power
-
-    den, den_err = quad(lambda u: math.cos(u) ** power, 0.0, half_pi, epsabs=5e-14, limit=limit)
-    # pre-splitting the panel tightens the error certificate when the
-    # one-shot estimate is roundoff-dominated
-    for pieces in (1, 4, 16):
-        num, num_err = 0.0, 0.0
-        for i in range(pieces):
-            val, err = quad(
-                numerator,
-                half_pi * i / pieces,
-                half_pi * (i + 1) / pieces,
-                epsabs=5e-13 / pieces,
-                limit=limit,
-            )
-            num += val
-            num_err += err
-        if (num_err + den_err) / den <= 1e-10:
-            return num / den
-    raise QuadratureFailure(
-        f"estimated error {(num_err + den_err) / den:.3e} above 1e-10 at d={d}, r={radius}"
-    )
+    if radius < 1e-9:
+        return 1.0
+    order = d / 2.0 - 1.0
+    return float(gamma(d / 2.0) * jv(order, 2.0 * math.pi * radius) / (math.pi * radius) ** order)
 
 
 def eval_folded_symbol(spec: SphereSpec, xi) -> float:

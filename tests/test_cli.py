@@ -1,7 +1,10 @@
-import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sphlab
 from sphlab.cli import main
 
 
@@ -180,3 +183,45 @@ def test_banner_toggle(tmp_path):
     assert out.read_text().startswith("# sphlab verify-gauss ")
     assert main(["verify-gauss", "--qmax", "2", "--d", "2", "--out", str(out), "--no-banner"]) == 0
     assert out.read_text().startswith("q,p,d,")
+
+
+def test_residual_folded_d13(tmp_path):
+    # d = 13 is a dimension where an adaptive-quadrature symbol cannot certify 1e-10
+    code, text = run(
+        ["residual", "--regime", "folded", "--d", "13", "--lambda", "4", "--samples", "20", "--seed", "1"],
+        tmp_path,
+    )
+    assert code == 0
+    assert len(text.strip().splitlines()) == 1 + 21 + 1
+
+
+def test_config_malformed_value_exit_2(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("qmax = 4\nd = 3\nbogus = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify-gauss"])
+    assert exc.value.code == 2
+
+
+def test_missing_thresholds_file_exit_2(tmp_path):
+    missing = tmp_path / "absent.txt"
+    argv = ["residual", "--regime", "folded", "--d", "8", "--lambda", "4", "--samples", "5",
+            "--seed", "9", "--thresholds", str(missing), "--out", str(tmp_path / "r.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not missing.exists()
+    assert main(argv + ["--refreeze"]) == 0
+    assert "residual_folded_d8_lam4_s5_seed9 = " in missing.read_text()
+    assert main(argv) == 0
+
+
+def test_cli_import_skips_scipy_integrate_and_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphlab.__file__)))
+    probe = (
+        "import sys, sphlab.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

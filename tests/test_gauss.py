@@ -214,6 +214,14 @@ def test_decomposition_n1_has_empty_major():
     assert report.major_sum == 0.0
 
 
+def test_major_arcs_count_the_integer_arc_once():
+    # at xi = 0 the sphere symbol is 1 and the full major-arc sum must track
+    # it; counting both 0/1 and 1/1 doubled the q = 1 arc and gave about 1.88
+    for lam in (16, 64, 144):
+        report = decomposition_error(SphereSpec(8, lam), math.isqrt(lam) + 1, np.zeros(8))
+        assert abs(report.major_sum - 1.0) < 0.02
+
+
 def test_decomposition_budget_guard():
     with pytest.raises(InfeasibleScale):
         decomposition_error(SphereSpec(2, 10**6), 1, np.zeros(2), budget=1e9)
@@ -254,18 +262,18 @@ def test_major_arc_independent_reimplementation():
 
 
 REFERENCE_POINT = SphereSpec(16, 1024)
-# frozen one-time reference run (seed 101, cutoff 5): |major|, |minor|, |error|
+# frozen reference run (seed 101, cutoff 5): |major|, |minor|, |error|
 REFERENCE_ROWS = [
-    (1.9922843526067262, 5.711436530394963e-05, 0.9923414669720302),
-    (2.22346889455411e-12, 0.0, 9.393634690470279e-12),
-    (1.4820526517415577e-12, 0.0, 1.0928930070271947e-11),
+    (0.9999428859032382, 5.711436530394963e-05, 2.685421596058296e-10),
+    (1.0528221490425764e-12, 0.0, 8.222987944958746e-12),
+    (6.290448464036078e-13, 0.0, 1.1781937875609897e-11),
 ]
 
 
 def test_decomposition_reference_point_frozen():
-    # the first row is xi = 0, where the 0/1 and 1/1 arcs coincide and the
-    # inclusive Farey convention counts the integer arc twice; the paper
-    # envelope d^(3d/4)/lam^(d/4-1) = 262144 is far above everything here
+    # the first row is xi = 0, where the sphere symbol is 1 and the arcs with
+    # q < 5 plus the tail reproduce it to 3e-10; the paper envelope
+    # d^(3d/4)/lam^(d/4-1) = 262144 is far above everything here
     rng = np.random.Generator(np.random.Philox(101))
     points = np.zeros((3, 16))
     points[1:] = rng.random((2, 16)) - 0.5

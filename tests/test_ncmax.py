@@ -95,6 +95,25 @@ def test_solution_feasibility_and_bounds():
             assert sol.value <= stack_norm(batched_abs_sum(stack.matrices), p) + 1e-9
 
 
+def test_inf_majorant_closed_form_large_fibers():
+    for n in (4, 8):
+        for trial in range(3):
+            stack = random_hermitian_stack(3, 5, n, 450 + 10 * n + trial)
+            sol = order_interval_majorant(stack, INF)
+            closed = max(
+                float(np.abs(np.linalg.eigvalsh(x)).max())
+                for k in range(stack.family_size)
+                for x in stack.matrices[k]
+            )
+            assert abs(sol.value - closed) <= 1e-12
+            assert sol.iterations == 0
+            assert sol.converged
+            for s in range(stack.sites):
+                for x in stack.matrices[:, s]:
+                    for sign in (1.0, -1.0):
+                        assert np.linalg.eigvalsh(sol.majorant[s] + sign * x)[0] >= -1e-12
+
+
 def test_homogeneity():
     stack = random_hermitian_stack(3, 4, 2, 510)
     for p in (2, INF):

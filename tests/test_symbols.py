@@ -133,14 +133,40 @@ def test_continuous_symbol_d3_closed_form():
     assert eval_continuous_sphere_symbol(7, 0.0) == 1.0
 
 
-def test_continuous_symbol_bessel_closed_form():
-    # independent oracle: Gamma(d/2) J_{d/2-1}(2 pi r) / (pi r)^(d/2-1)
-    from scipy.special import gamma, jv
+def quadrature_sphere_symbol(d: int, radius: float) -> float:
+    """Independent oracle: the projection integral by adaptive quadrature.
 
-    for d in (2, 5, 8, 16):
-        for r in (0.2, 1.3, 4.0):
-            oracle = gamma(d / 2) * jv(d / 2 - 1, 2 * math.pi * r) / (math.pi * r) ** (d / 2 - 1)
-            assert eval_continuous_sphere_symbol(d, r) == pytest.approx(oracle, abs=1e-10)
+    int cos(2 pi r s) (1 - s^2)^((d-3)/2) ds / int (1 - s^2)^((d-3)/2) ds over
+    s in [-1, 1], after s = sin(u) removes the d = 2 endpoint singularity;
+    the integrand is even in u, so only the half interval is integrated.
+    """
+    from scipy.integrate import quad
+
+    power = d - 2
+    half_pi = math.pi / 2.0
+    limit = max(200, int(40 * radius) + 200)
+    den, _ = quad(lambda u: math.cos(u) ** power, 0.0, half_pi, epsabs=5e-14, limit=limit)
+    num, _ = quad(
+        lambda u: math.cos(2.0 * math.pi * radius * math.sin(u)) * math.cos(u) ** power,
+        0.0,
+        half_pi,
+        epsabs=5e-13,
+        limit=limit,
+    )
+    return num / den
+
+
+def test_continuous_symbol_bessel_closed_form():
+    # the oracle ignores quad's error estimates: at d = 13, 14 and 18 they
+    # exceed 1e-10 although the values agree with the closed form to 2e-14
+    for d in range(2, 26):
+        for r in (0.0, 1e-6, 1e-3, 0.7, 2.5, 9.0, 23.0, 39.0):
+            assert eval_continuous_sphere_symbol(d, r) == pytest.approx(
+                quadrature_sphere_symbol(d, r), abs=1e-12
+            )
+    assert eval_continuous_sphere_symbol(13, 0.0) == 1.0
+    with pytest.raises(DomainError):
+        eval_continuous_sphere_symbol(1, 0.5)
 
 
 def test_continuous_symbol_near_zero_expansion():
