@@ -18,7 +18,6 @@ from .errors import (
     OddSide,
     RangeError,
     RegimeViolation,
-    SolverStall,
     SphlabError,
 )
 from .fields import (

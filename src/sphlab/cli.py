@@ -224,6 +224,7 @@ def cmd_maximal_survey(args) -> int:
         )
         for p_label, p in (("2", 2.0), ("inf", math.inf)):
             sol = order_interval_majorant(stack, p, tol=args.tol)
+            gap = sol.value - sol.lower_bound
             rows.append(
                 [
                     "majorant",
@@ -233,11 +234,11 @@ def cmd_maximal_survey(args) -> int:
                     stack.family_size,
                     p_label,
                     sol.value,
-                    sol.certificate_gap,
+                    gap,
                     args.seed + 1000 + trial,
                 ]
             )
-            if sol.certificate_gap > args.tol:
+            if gap > args.tol:
                 failed = True
     _write_csv(args, ["kind", "d", "L", "n", "K", "p", "value", "gap", "seed"], rows)
     return 1 if failed else 0
@@ -361,6 +362,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("the residual survey needs lambda >= 1")
     if args.command == "ratio-survey" and any(lam <= 0 for lam in args.lambdas):
         parser.error("ratio-survey needs strictly positive lambda values")
+    for name in ("tol", "budget"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            parser.error(f"--{name} must be finite and positive, got {value!r}")
     thresholds = getattr(args, "thresholds", None)
     if thresholds and not args.refreeze and not os.path.exists(thresholds):
         parser.error(f"--thresholds file {thresholds} does not exist (pass --refreeze to create it)")

@@ -39,7 +39,3 @@ class OddSide(SphlabError):
 
 class NonHermitianInput(SphlabError):
     """A matrix field flagged Hermitian fails the Hermitian check."""
-
-
-class SolverStall(SphlabError):
-    """The majorant solver exhausted its iteration budget before reaching tolerance."""

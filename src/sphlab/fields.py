@@ -19,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
-    CapExceeded,
     DomainError,
     EmptySphere,
     IndivisibleSide,

@@ -157,6 +157,40 @@ def test_maximal_survey_gate_and_solver(tmp_path):
     assert all(float(r[7]) <= 1e-6 for r in solver_rows)
 
 
+def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path):
+    # 1e-12 is below what the default iteration budget can certify
+    code, text = run(
+        ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
+         "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4", "--tol", "1e-12"],
+        tmp_path,
+    )
+    assert code == 1
+    gaps = [float(line.split(",")[7]) for line in text.splitlines() if line.startswith("majorant,")]
+    assert gaps and max(gaps) > 1e-12
+
+
+BAD_POSITIVE = ["nan", "inf", "-inf", "0", "-1"]
+TOL_ARGV = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
+            "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4"]
+BUDGET_ARGV = ["decompose", "--d", "5", "--lambda", "100000", "--nmax", "1", "--samples", "0",
+               "--seed", "1"]
+
+
+@pytest.mark.parametrize("value", BAD_POSITIVE)
+@pytest.mark.parametrize("name,argv", [("tol", TOL_ARGV), ("budget", BUDGET_ARGV)])
+def test_bad_tol_and_budget_exit_2(tmp_path, name, argv, value):
+    out = ["--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--{name}={value}"] + out)
+    assert exc.value.code == 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv + out)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("qmax = 4\nd = 3\nno-banner = true\n")

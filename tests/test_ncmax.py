@@ -75,13 +75,29 @@ def test_commutative_exactness():
             assert sol.value == pytest.approx(float(closed), abs=1e-8)
 
 
+def test_commuting_family_closed_form():
+    # x_k = U diag(d_k) U* share an eigenbasis, so the optimum is U diag(max_k |d_k|) U*
+    rng = np.random.Generator(np.random.Philox(350))
+    for n in (2, 4, 8):
+        diags = rng.standard_normal((3, 5, n))
+        raw = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+        unitary, _ = np.linalg.qr(raw)
+        xs = np.einsum("sab,ksb,scb->ksac", unitary, diags, np.conj(unitary))
+        stack = HermitianStack((xs + np.conj(np.swapaxes(xs, -1, -2))) / 2)
+        closed = math.sqrt(float(np.sum(np.max(diags**2, axis=0))))
+        for tol in (1e-6, 1e-8):
+            sol = order_interval_majorant(stack, 2, tol=tol)
+            assert 0 <= sol.value - closed <= tol
+            assert sol.lower_bound <= closed + 1e-12
+
+
 def test_solution_feasibility_and_bounds():
     for trial in range(10):
         stack = random_hermitian_stack(3, 4, 2, 400 + trial)
         for p in (2, INF):
             sol = order_interval_majorant(stack, p, tol=1e-7)
             assert sol.converged
-            assert sol.certificate_gap <= 1e-7
+            assert 0 <= sol.value - sol.lower_bound <= 1e-7
             # feasibility at every site and family member
             for s in range(stack.sites):
                 for x in stack.matrices[:, s]:
