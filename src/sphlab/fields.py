@@ -1,11 +1,16 @@
 """Spatial-side operators on finite tori (Z_L)^d.
 
-Fields carry complex scalars or n x n complex matrices per site.  Averages
-and Laplacians act by periodic shifts, multipliers act through the DFT, and
-the two routes are kept independent so they can check each other.  The side
-L is chosen by callers so that 2t < L for every sphere radius exercised,
-which makes the periodic computation agree exactly with the infinite
-lattice for compactly supported inputs.
+Fields carry complex scalars or n x n complex matrices per site.  Spherical
+averages are convolutions computed through the DFT: the transform of the
+normalized sphere indicator, scattered onto the torus, multiplies the
+spectrum of the field.  Multipliers given as symbols act through the DFT
+too; the Laplacian and the sampled-kernel convolution act by periodic
+shifts.  The tests keep the one-shift-per-sphere-point average as the
+spatial oracle for the spectral one.  The side L is chosen by callers so
+that 2t < L for every sphere radius exercised, which makes the periodic
+computation agree with the infinite lattice for compactly supported
+inputs; for larger spheres points that coincide mod L keep their
+multiplicity.
 """
 
 from __future__ import annotations
@@ -175,16 +180,34 @@ def _sphere_points(spec: SphereSpec, cap: int) -> list[tuple[int, ...]]:
     return enumerate_sphere(spec, cap)
 
 
+def _sphere_symbol(points: list[tuple[int, ...]], d: int, side: int) -> np.ndarray:
+    """Real DFT of the normalized sphere indicator, on the (Z_side)^d frequency grid.
+
+    Points that coincide mod side (possible once 2 sqrt(lam) >= side) add up,
+    so the symbol keeps their multiplicity.  The sphere is symmetric under
+    y -> -y, so the transform is real and only its real part is kept.
+    """
+    weights = np.zeros((side,) * d, dtype=complex)
+    np.add.at(weights, tuple(np.mod(np.asarray(points), side).T), 1.0 / len(points))
+    return np.fft.fftn(weights, out=weights).real.copy()
+
+
 def spherical_average(f: TorusField, spec: SphereSpec, cap: int = 2_000_000) -> TorusField:
-    """Mean of f(x - y) over the lattice sphere |y|^2 = lam, with wraparound."""
+    """Mean of f(x - y) over the lattice sphere |y|^2 = lam, with wraparound.
+
+    Computed as one convolution on the Fourier side: the sphere symbol
+    multiplies the DFT of f over the torus axes, in place in one work
+    buffer, and broadcasts over the fiber axes of matrix fields.
+    """
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
-    points = _sphere_points(spec, cap)
+    symbol = _sphere_symbol(_sphere_points(spec, cap), f.d, f.side)
     axes = tuple(range(f.d))
-    acc = np.zeros_like(f.values)
-    for y in points:
-        acc += np.roll(f.values, shift=y, axis=axes)
-    return TorusField(f.d, acc / len(points))
+    buf = np.array(f.values, dtype=complex)
+    np.fft.fftn(buf, axes=axes, out=buf)
+    buf *= symbol.reshape(symbol.shape + (1,) * (buf.ndim - f.d))
+    np.fft.ifftn(buf, axes=axes, out=buf)
+    return TorusField(f.d, buf)
 
 
 def discrete_laplacian(f: TorusField, k: int) -> TorusField:

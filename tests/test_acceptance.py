@@ -33,11 +33,11 @@ from sphlab import (
     sign_flip_modulation,
     sphere_counts,
     sphere_multiplier_batch,
-    spherical_average,
     verify_gauss_identities,
 )
 from sphlab.cli import _default_thresholds_path, _load_thresholds, main
 from sphlab.gauss import decomposition_error
+from test_fields import roll_spherical_average
 
 THRESHOLDS = _load_thresholds(_default_thresholds_path())
 
@@ -110,7 +110,7 @@ def test_criterion_04_spatial_fourier_equivalence():
     f = TorusField.scalar(rng.standard_normal((16,) * 3) + 1j * rng.standard_normal((16,) * 3))
     for lam in (1, 2, 4):
         spec = SphereSpec(3, lam)
-        spatial = spherical_average(f, spec)
+        spatial = roll_spherical_average(f, spec)
         fourier = apply_multiplier(f, lambda xi: eval_sphere_multiplier(spec, xi, "direct"))
         assert np.abs(spatial.values - fourier.values).max() <= 1e-10
     for k in (1, 2, 3):
@@ -189,6 +189,42 @@ def test_criterion_08_folded_symbol_bound():
 
 
 def grid_oracle_2x2(xs: np.ndarray, p, step: float = 0.02) -> float:
+    """Smallest objective over the feasible majorants [[al, ga], [ga, be]] on a grid.
+
+    The grid and the arithmetic at every point are those of
+    grid_oracle_2x2_loop.  For each al, each constraint after the first is
+    evaluated only on the (be, ga) points that passed the ones before it,
+    and the al-independent parts of the first constraint are computed once.
+    """
+    top = float(sum(np.abs(np.linalg.eigvalsh(x)).max() for x in xs)) + 2 * step
+    diag = np.arange(0.0, top + step, step)
+    off = np.arange(-top, top + step, step)
+    be, ga = (axis.ravel() for axis in np.meshgrid(diag, off, indexing="ij"))
+    (first, first_sign), *rest = [(x, sign) for x in xs for sign in (1.0, -1.0)]
+    first_m11 = be + first_sign * first[1, 1].real
+    first_m01_sq = (ga + first_sign * first[0, 1].real) ** 2
+    best = math.inf
+    for al in diag:
+        m00 = al + first_sign * first[0, 0].real
+        keep = (m00 + first_m11 >= 0) & (m00 * first_m11 - first_m01_sq >= 0)
+        b, g = be[keep], ga[keep]
+        for x, sign in rest:
+            m00 = al + sign * x[0, 0].real
+            m11 = b + sign * x[1, 1].real
+            m01 = g + sign * x[0, 1].real
+            keep = (m00 + m11 >= 0) & (m00 * m11 - m01**2 >= 0)
+            b, g = b[keep], g[keep]
+        if b.size:
+            if p == math.inf:
+                obj = ((al + b) + np.sqrt((al - b) ** 2 + 4 * g**2)) / 2
+            else:
+                obj = np.sqrt(al**2 + b**2 + 2 * g**2)
+            best = min(best, float(obj.min()))
+    return best
+
+
+def grid_oracle_2x2_loop(xs: np.ndarray, p, step: float = 0.02) -> float:
+    """Reference for grid_oracle_2x2: every constraint on the whole (be, ga) grid for each al."""
     top = float(sum(np.abs(np.linalg.eigvalsh(x)).max() for x in xs)) + 2 * step
     diag = np.arange(0.0, top + step, step)
     off = np.arange(-top, top + step, step)
@@ -209,6 +245,14 @@ def grid_oracle_2x2(xs: np.ndarray, p, step: float = 0.02) -> float:
                 obj = np.sqrt(al**2 + be**2 + 2 * ga**2)
             best = min(best, float(obj[feasible].min()))
     return best
+
+
+def test_grid_oracle_matches_reference_loop():
+    rng = np.random.Generator(np.random.Philox(2025))
+    for p in (2, math.inf):
+        raw = rng.standard_normal((3, 2, 2))
+        sym = (raw + np.swapaxes(raw, -1, -2)) / 2
+        assert grid_oracle_2x2(sym, p) == grid_oracle_2x2_loop(sym, p)
 
 
 def test_criterion_09_order_interval_solver():

@@ -6,6 +6,7 @@ import pytest
 from sphlab import (
     DomainError,
     DyadicRange,
+    EmptySphere,
     IndivisibleSide,
     OddSide,
     SphereSpec,
@@ -29,6 +30,7 @@ from sphlab import (
     sign_flip_modulation,
     spherical_average,
 )
+from sphlab.fields import _sphere_points
 
 
 def random_scalar(d, L, seed):
@@ -40,6 +42,18 @@ def random_hermitian_field(d, L, n, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     raw = rng.standard_normal((L,) * d + (n, n)) + 1j * rng.standard_normal((L,) * d + (n, n))
     return TorusField.matrix(d, (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2)
+
+
+def roll_spherical_average(f: TorusField, spec: SphereSpec, cap: int = 2_000_000) -> TorusField:
+    """Spatial oracle: the mean of f(x - y) over the sphere, one periodic shift per point."""
+    if spec.d != f.d:
+        raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
+    points = _sphere_points(spec, cap)
+    axes = tuple(range(f.d))
+    acc = np.zeros_like(f.values)
+    for y in points:
+        acc += np.roll(f.values, shift=y, axis=axes)
+    return TorusField(f.d, acc / len(points))
 
 
 def test_dft_delta_and_constant():
@@ -76,7 +90,7 @@ def test_spherical_average_basics():
     out = spherical_average(const, SphereSpec(2, 1))
     assert np.allclose(out.values, 2.5)
     f = random_scalar(2, 8, 105)
-    same = spherical_average(f, SphereSpec(2, 0))
+    same = roll_spherical_average(f, SphereSpec(2, 0))
     assert np.array_equal(same.values, f.values)
     real = TorusField.scalar(np.asarray(np.random.Generator(np.random.Philox(1)).standard_normal((8, 8)), dtype=complex))
     avg = spherical_average(real, SphereSpec(2, 1))
@@ -87,11 +101,46 @@ def test_spherical_average_basics():
 def test_spherical_average_translation_commutes():
     f = random_scalar(2, 8, 107)
     spec = SphereSpec(2, 2)
-    shifted_then_avg = spherical_average(
-        TorusField.scalar(np.roll(f.values, (3, 5), axis=(0, 1))), spec
-    )
-    avg_then_shifted = np.roll(spherical_average(f, spec).values, (3, 5), axis=(0, 1))
+    shifted = TorusField.scalar(np.roll(f.values, (3, 5), axis=(0, 1)))
+    shifted_then_avg = roll_spherical_average(shifted, spec)
+    avg_then_shifted = np.roll(roll_spherical_average(f, spec).values, (3, 5), axis=(0, 1))
     assert np.array_equal(shifted_then_avg.values, avg_then_shifted)
+    spectral = np.roll(spherical_average(f, spec).values, (3, 5), axis=(0, 1))
+    assert np.abs(spectral - avg_then_shifted).max() <= 1e-12
+    assert np.abs(spherical_average(shifted, spec).values - avg_then_shifted).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d,side", [(1, 40), (2, 12), (3, 8), (4, 6), (5, 5)])
+def test_spherical_average_matches_roll_oracle(d, side):
+    scalar = random_scalar(d, side, 150 + d)
+    matrix = random_hermitian_field(d, side, 2, 160 + d)
+    for lam in (0, 1, 2, 4, 16):
+        spec = SphereSpec(d, lam)
+        if d == 1 and lam == 2:
+            with pytest.raises(EmptySphere):
+                spherical_average(scalar, spec)
+            continue
+        for f in (scalar, matrix):
+            oracle = roll_spherical_average(f, spec)
+            assert np.abs(spherical_average(f, spec).values - oracle.values).max() <= 1e-12
+
+
+def test_spherical_average_keeps_aliased_points():
+    # on Z_4^2 the points (2, 0) and (-2, 0) land on one site, as do (0, 2) and (0, -2)
+    f = random_scalar(2, 4, 171)
+    spec = SphereSpec(2, 4)
+    expected = (
+        2 * np.roll(f.values, (2, 0), axis=(0, 1)) + 2 * np.roll(f.values, (0, 2), axis=(0, 1))
+    ) / 4
+    oracle = roll_spherical_average(f, spec)
+    assert np.abs(oracle.values - expected).max() <= 1e-15
+    assert np.abs(spherical_average(f, spec).values - expected).max() <= 1e-12
+
+
+def test_spherical_average_dimension_mismatch():
+    f = random_scalar(2, 8, 173)
+    with pytest.raises(DomainError):
+        spherical_average(f, SphereSpec(3, 1))
 
 
 def test_spherical_average_matches_multiplier():

@@ -65,6 +65,36 @@ def test_convolution_recursion():
             assert upper[lam] == total
 
 
+def jacobi_counts(d: int, n_max: int) -> list[int]:
+    """Jacobi's closed forms for r_d(n), 1 <= n <= n_max (index 0 unused).
+
+    r_4(n) = 8 sum of the divisors of n not divisible by 4;
+    r_8(n) = 16 sum over divisors k of n of (-1)^(n + k) k^3.
+    """
+    out = [0] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        for n in range(k, n_max + 1, k):
+            if d == 4:
+                out[n] += 8 * k if k % 4 else 0
+            else:
+                out[n] += 16 * (-1) ** (n + k) * k**3
+    return out
+
+
+def jacobi_mismatches(table, closed) -> list[int]:
+    return [n for n in range(1, len(closed)) if table[n] != closed[n]]
+
+
+@pytest.mark.parametrize("d", [4, 8])
+def test_counts_match_jacobi_closed_forms(d):
+    closed = jacobi_counts(d, 2000)
+    table = list(sphere_counts(d, 2000))
+    assert jacobi_mismatches(table, closed) == []
+    # negative control: one count off by one must be caught
+    table[1999] += 1
+    assert jacobi_mismatches(table, closed) == [1999]
+
+
 def test_lagrange_four_squares():
     for d in range(4, 8):
         table = sphere_counts(d, 200)
