@@ -40,10 +40,12 @@ from .fields import (
 from .gauss import (
     PHI_CUTOFF,
     THETA_CUTOFF,
+    ArcDecomposition,
     BumpCutoff,
     DecompositionReport,
     FareyFraction,
     GaussIdentityReport,
+    decompose_arcs,
     decomposition_error,
     eval_cutoff,
     eval_major_arc_term,
@@ -75,6 +77,7 @@ from .ncmax import (
 )
 from .symbols import (
     SymbolSample,
+    continuous_sphere_symbol_batch,
     count_negative_cos,
     eval_continuous_sphere_symbol,
     eval_folded_symbol,

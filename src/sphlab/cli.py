@@ -20,9 +20,9 @@ import sys
 
 import numpy as np
 
-from .errors import EmptySphere, InfeasibleScale, RegimeViolation, SphlabError
-from .gauss import decomposition_error, verify_gauss_identities
-from .lattice import SphereSpec, density_ratio, surface_measure
+from .errors import InfeasibleScale, RegimeViolation, SphlabError
+from .gauss import decompose_arcs, verify_gauss_identities
+from .lattice import SphereSpec, sphere_counts, surface_measure
 from .ncmax import empirical_maximal_ratio, order_interval_majorant, random_hermitian_stack
 from .fields import DyadicRange
 from .symbols import fit_small_scale_constant, residual_survey
@@ -146,15 +146,16 @@ def cmd_residual(args) -> int:
 
 
 def cmd_ratio_survey(args) -> int:
+    # one count table for every lambda; the ratio is density_ratio's expression
+    counts = sphere_counts(args.d, max(args.lambdas))
+    exponent = args.d / 2.0 - 1.0
     rows = []
     for lam in args.lambdas:
-        spec = SphereSpec(args.d, lam)
         inv_sigma = 1.0 / surface_measure(args.d)
-        try:
-            ratio = density_ratio(spec)
-        except EmptySphere:
+        if counts[lam] == 0:
             rows.append([args.d, lam, "", inv_sigma, "", "empty"])
             continue
+        ratio = float(lam) ** exponent / counts[lam]
         rows.append([args.d, lam, ratio, inv_sigma, ratio * surface_measure(args.d), "ok"])
     _write_csv(args, ["d", "lam", "ratio", "inv_sigma", "ratio_times_sigma", "status"], rows)
     return 0
@@ -165,22 +166,22 @@ def cmd_decompose(args) -> int:
     rng = np.random.Generator(np.random.Philox(args.seed))
     points = np.zeros((args.samples + 1, args.d))
     points[1:] = rng.random((args.samples, args.d)) - 0.5
-    rows = []
-    for n in range(args.nmin, args.nmax + 1):
-        for index, xi in enumerate(points):
-            report = decomposition_error(spec, n, xi, budget=args.budget)
-            rows.append(
-                [
-                    args.d,
-                    args.lam,
-                    n,
-                    index,
-                    abs(report.major_sum),
-                    abs(report.minor_term),
-                    abs(report.total_error),
-                    report.paper_bound,
-                ]
-            )
+    cutoffs = range(args.nmin, args.nmax + 1)
+    arcs = decompose_arcs(spec, points, cutoffs, budget=args.budget)
+    rows = [
+        [
+            args.d,
+            args.lam,
+            n,
+            index,
+            abs(arcs.major[k, index]),
+            abs(arcs.minor[k, index]),
+            abs(arcs.error[k, index]),
+            arcs.paper_bound,
+        ]
+        for k, n in enumerate(cutoffs)
+        for index in range(len(points))
+    ]
     _write_csv(
         args,
         ["d", "lam", "n", "xi_index", "abs_major", "abs_minor", "abs_error", "paper_bound"],
@@ -366,6 +367,12 @@ def main(argv: list[str] | None = None) -> int:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0.0):
             parser.error(f"--{name} must be finite and positive, got {value!r}")
+    for name, low in (("samples", 0), ("seed", 0), ("fiber_trials", 0), ("fiber_sites", 1)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            parser.error(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+    if args.command == "decompose" and not 1 <= args.nmin <= args.nmax:
+        parser.error(f"decompose needs 1 <= --nmin <= --nmax, got {args.nmin} and {args.nmax}")
     thresholds = getattr(args, "thresholds", None)
     if thresholds and not args.refreeze and not os.path.exists(thresholds):
         parser.error(f"--thresholds file {thresholds} does not exist (pass --refreeze to create it)")

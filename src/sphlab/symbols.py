@@ -27,6 +27,7 @@ __all__ = [
     "sphere_multiplier_batch",
     "eval_gaussian_approximant",
     "eval_semigroup_symbol",
+    "continuous_sphere_symbol_batch",
     "eval_continuous_sphere_symbol",
     "eval_folded_symbol",
     "count_negative_cos",
@@ -144,11 +145,16 @@ def eval_semigroup_symbol(time: float, xi) -> float:
     return float(np.exp(-time * np.sum(np.sin(np.pi * xi) ** 2)))
 
 
-@lru_cache(maxsize=65536)
-def eval_continuous_sphere_symbol(d: int, radius: float) -> float:
-    """Fourier transform of the normalized surface measure at radial frequency.
+def _bessel_form(d: int, radius):
+    """Gamma(d/2) (pi r)^(1 - d/2) J_(d/2 - 1)(2 pi r), elementwise, for r > 0."""
+    order = d / 2.0 - 1.0
+    return gamma(d / 2.0) * jv(order, 2.0 * math.pi * radius) / (math.pi * radius) ** order
 
-    Evaluated in the Bessel closed form
+
+def continuous_sphere_symbol_batch(d: int, radii) -> np.ndarray:
+    """Fourier transform of the normalized surface measure at radial frequencies.
+
+    Evaluated elementwise in the Bessel closed form
         Gamma(d/2) (pi r)^(1 - d/2) J_(d/2 - 1)(2 pi r)
     of Grafakos, Classical Fourier Analysis, App. B.4.  Below r = 1e-9 the
     value 1 - 2 pi^2 r^2 / d rounds to 1.0, which is returned directly; that
@@ -156,11 +162,18 @@ def eval_continuous_sphere_symbol(d: int, radius: float) -> float:
     """
     if d < 2:
         raise DomainError(f"needs d >= 2, got {d}")
+    radii = np.abs(np.asarray(radii, dtype=float))
+    tiny = radii < 1e-9
+    return np.where(tiny, 1.0, _bessel_form(d, np.where(tiny, 1.0, radii)))
+
+
+@lru_cache(maxsize=65536)
+def eval_continuous_sphere_symbol(d: int, radius: float) -> float:
+    """continuous_sphere_symbol_batch at one radius, in plain float arithmetic."""
+    if d < 2:
+        raise DomainError(f"needs d >= 2, got {d}")
     radius = abs(float(radius))
-    if radius < 1e-9:
-        return 1.0
-    order = d / 2.0 - 1.0
-    return float(gamma(d / 2.0) * jv(order, 2.0 * math.pi * radius) / (math.pi * radius) ** order)
+    return 1.0 if radius < 1e-9 else float(_bessel_form(d, radius))
 
 
 def eval_folded_symbol(spec: SphereSpec, xi) -> float:

@@ -191,6 +191,43 @@ def test_bad_tol_and_budget_exit_2(tmp_path, name, argv, value):
     assert not (tmp_path / "x.csv").exists()
 
 
+BASE_FLAGS = {
+    "residual": {"regime": "folded", "d": "8", "lambda": "4", "samples": "5", "seed": "9"},
+    "decompose": {"d": "2", "lambda": "4", "nmin": "1", "nmax": "1", "samples": "1", "seed": "1"},
+    "maximal-survey": {"dims": "2", "sides": "8", "scales": "0,1", "trials": "1", "seed": "7",
+                       "fiber-trials": "1", "fiber-sites": "4"},
+}
+
+
+@pytest.mark.parametrize(
+    "command,name,bad,lowest",
+    [
+        ("residual", "samples", "-1", "0"),
+        ("decompose", "samples", "-3", "0"),
+        ("residual", "seed", "-1", "0"),
+        ("decompose", "seed", "-1", "0"),
+        ("maximal-survey", "seed", "-1", "0"),
+        ("maximal-survey", "fiber-sites", "-2", "1"),
+        ("maximal-survey", "fiber-trials", "-1", "0"),
+        ("decompose", "nmin", "3", "1"),  # --nmax is 1
+    ],
+)
+def test_bad_counts_and_seeds_exit_2(tmp_path, command, name, bad, lowest):
+    flags = {k: v for k, v in BASE_FLAGS[command].items() if k != name}
+    argv = [command] + [f"--{k}={v}" for k, v in flags.items()] + ["--out", str(tmp_path / "x.csv")]
+    assert main(argv + [f"--{name}={lowest}"]) == 0  # the smallest accepted value runs
+    (tmp_path / "x.csv").unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--{name}={bad}"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{name} = {bad}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("qmax = 4\nd = 3\nno-banner = true\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sphlab import gauss as gauss_module
 from sphlab import (
     DomainError,
     InfeasibleScale,
@@ -13,7 +14,9 @@ from sphlab import (
     SphereSpec,
     THETA_CUTOFF,
     FareyFraction,
+    decompose_arcs,
     decomposition_error,
+    eval_continuous_sphere_symbol,
     eval_cutoff,
     eval_major_arc_term,
     eval_minor_term,
@@ -21,7 +24,9 @@ from sphlab import (
     farey_set,
     gauss_sum,
     gauss_sum_1d,
+    nearest_lattice,
     representation_count,
+    sphere_multiplier_batch,
     surface_measure,
     verify_gauss_identities,
 )
@@ -208,6 +213,26 @@ def test_decomposition_bookkeeping():
                 )
 
 
+def test_decompose_arcs_block():
+    spec = SphereSpec(3, 16)
+    rng = np.random.Generator(np.random.Philox(44))
+    xis = rng.random((5, 3)) - 0.5
+    arcs = decompose_arcs(spec, xis, range(2, 6))
+    assert arcs.cutoffs == (2, 3, 4, 5)
+    assert arcs.major.shape == arcs.minor.shape == arcs.error.shape == (4, 5)
+    symbol = sphere_multiplier_batch(spec, xis)
+    assert np.abs(arcs.major + arcs.minor + arcs.error - symbol).max() <= 1e-15
+    report = arcs.report(1, 2)
+    assert report.cutoff_index == 3 and report.xi == tuple(xis[2])
+    assert report.total_error == arcs.error[1, 2]
+    with pytest.raises(RangeError):
+        decompose_arcs(spec, xis, (1, 6))
+    with pytest.raises(DomainError):
+        decompose_arcs(spec, xis[:, :2], (1,))
+    with pytest.raises(InfeasibleScale):
+        decompose_arcs(spec, xis, (1,), budget=100.0)
+
+
 def test_decomposition_n1_has_empty_major():
     spec = SphereSpec(3, 4)
     report = decomposition_error(spec, 1, np.array([0.1, 0.2, -0.3]))
@@ -283,3 +308,179 @@ def test_decomposition_reference_point_frozen():
         assert abs(rep.minor_term) == pytest.approx(minor, rel=1e-9, abs=1e-13)
         assert abs(rep.total_error) == pytest.approx(error, rel=1e-9, abs=1e-13)
         assert abs(rep.total_error) <= rep.paper_bound
+
+
+# The per-term route the package used before the Gauss sums were tabulated
+# and the decomposition batched, kept as the oracle: one cmath loop per 1-d
+# Gauss sum, one Python call per fraction, frequency and cutoff.
+
+
+def oracle_gauss_sum_1d(p: int, q: int, x: int) -> complex:
+    total = 0.0 + 0.0j
+    tau = 2.0 * math.pi / q
+    for n in range(1, q + 1):
+        total += cmath.exp(1j * tau * ((n * n * p + x * n) % q))
+    return total / q
+
+
+def oracle_gauss_sum(p: int, q: int, x) -> complex:
+    out = 1.0 + 0.0j
+    for xj in np.asarray(x, dtype=object).ravel():
+        out *= oracle_gauss_sum_1d(p, q, int(xj))
+    return out
+
+
+def oracle_smooth_step(u: float) -> float:
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    a = math.exp(-1.0 / u)
+    b = math.exp(-1.0 / (1.0 - u))
+    return a / (a + b)
+
+
+def oracle_cutoff(cut, x) -> float:
+    out = 1.0
+    for xj in np.asarray(x, dtype=float).ravel():
+        out *= oracle_smooth_step((cut.support - abs(float(xj))) / (cut.support - cut.plateau))
+        if out == 0.0:
+            break
+    return out
+
+
+def oracle_radial_sigma_hat(d: int, radius: float) -> float:
+    return surface_measure(d) * eval_continuous_sphere_symbol(d, radius)
+
+
+def oracle_major_arc_term(spec, frac, xi) -> complex:
+    count = representation_count(spec)
+    xi = np.asarray(xi, dtype=float)
+    d, lam = spec.d, spec.lam
+    nearest = nearest_lattice(frac.q * xi)
+    offset = nearest / frac.q - xi
+    prefactor = float(lam) ** (d / 2.0 - 1.0) / (2.0 * count)
+    phase = cmath.exp(-2j * math.pi * ((lam * frac.p) % frac.q) / frac.q)
+    return (
+        prefactor
+        * phase
+        * oracle_gauss_sum(frac.p, frac.q, nearest)
+        * oracle_radial_sigma_hat(d, spec.radius * float(np.linalg.norm(offset)))
+    )
+
+
+def oracle_arc_fractions(n: int, keep=lambda f: f.p >= 1):
+    return sorted((f for f in farey_set(n) if keep(f)), key=lambda f: (f.q, f.p))
+
+
+def oracle_minor_term(spec, n: int, xi, fractions) -> complex:
+    count = representation_count(spec)
+    xi = np.asarray(xi, dtype=float)
+    d, lam = spec.d, spec.lam
+    prefactor = float(lam) ** (d / 2.0 - 1.0) / (2.0 * count)
+    total = 0.0 + 0.0j
+    for frac in fractions:
+        if frac.q < n:
+            continue
+        scaled = frac.q * xi
+        x_vec = nearest_lattice(scaled)
+        window = oracle_cutoff(THETA_CUTOFF, scaled - x_vec)
+        if window == 0.0:
+            continue
+        offset = x_vec / frac.q - xi
+        phase = cmath.exp(-2j * math.pi * ((lam * frac.p) % frac.q) / frac.q)
+        total += (
+            phase
+            * oracle_gauss_sum(frac.p, frac.q, x_vec)
+            * window
+            * oracle_radial_sigma_hat(d, spec.radius * float(np.linalg.norm(offset)))
+        )
+    return prefactor * total
+
+
+def oracle_decomposition(spec, n: int, xi, fractions) -> tuple[complex, complex, complex]:
+    """(major, minor, error) at one cutoff and frequency, one term at a time."""
+    m_val = eval_sphere_multiplier(spec, xi, method="coeff")
+    major = 0.0 + 0.0j
+    for frac in fractions:
+        if frac.q < n:
+            major += oracle_major_arc_term(spec, frac, xi)
+    minor = oracle_minor_term(spec, n, xi, fractions)
+    return major, minor, m_val - major - minor
+
+
+ORACLE_CASES = [(2, 4), (3, 9), (5, 64), (8, 144)]
+
+
+def oracle_gap(d: int, lam: int, fractions=None) -> float:
+    """Largest |batched - oracle| over major, minor and error, every n, xi = 0 and 3 draws.
+
+    The pointwise decomposition_error is held to the same oracle.
+    """
+    spec = SphereSpec(d, lam)
+    big_n = math.isqrt(lam)
+    fractions = oracle_arc_fractions(big_n) if fractions is None else fractions
+    rng = np.random.Generator(np.random.Philox(1000 * d + lam))
+    xis = np.zeros((4, d))
+    xis[1:] = rng.random((3, d)) - 0.5
+    cutoffs = range(1, big_n + 2)
+    arcs = decompose_arcs(spec, xis, cutoffs)
+    gap = 0.0
+    for k, n in enumerate(cutoffs):
+        for i, xi in enumerate(xis):
+            expected = oracle_decomposition(spec, n, xi, fractions)
+            rep = decomposition_error(spec, n, xi)
+            for got in (
+                (arcs.major[k, i], arcs.minor[k, i], arcs.error[k, i]),
+                (rep.major_sum, rep.minor_term, rep.total_error),
+            ):
+                gap = max(gap, *(abs(g - e) for g, e in zip(got, expected)))
+    return gap
+
+
+@pytest.mark.parametrize("d,lam", ORACLE_CASES)
+def test_batched_decomposition_matches_per_term_oracle(d, lam):
+    assert oracle_gap(d, lam) <= 1e-12
+
+
+def test_oracle_catches_a_perturbed_gauss_table(monkeypatch):
+    clean = gauss_module._gauss_table
+
+    def perturbed(p, q):
+        table = clean(p, q)
+        return table + 1e-9 if q == 1 else table
+
+    monkeypatch.setattr(gauss_module, "_gauss_table", perturbed)
+    assert oracle_gap(5, 64) > 1e-12
+
+
+def test_oracle_catches_the_integer_arc_counted_twice(monkeypatch):
+    clean = gauss_module._farey_sorted
+    monkeypatch.setattr(gauss_module, "_farey_sorted", lambda n: (FareyFraction(0, 1),) + clean(n))
+    assert oracle_gap(5, 64) > 1e-12
+    # and the oracle itself tells the two conventions apart
+    doubled = oracle_arc_fractions(8, keep=lambda f: True)
+    monkeypatch.undo()
+    assert oracle_gap(5, 64, doubled) > 1e-12
+
+
+def test_gauss_tables_match_direct_sum():
+    for q in range(1, 13):
+        for p in range(q):
+            if math.gcd(p, q) != 1:
+                continue
+            table = gauss_module._gauss_table(p, q)
+            assert table.shape == (q,)
+            for x in range(q):
+                assert abs(table[x] - direct_gauss_sum(p, q, [x])) <= 1e-13
+                assert gauss_sum_1d(p + 2 * q, q, x - 3 * q) == table[x]
+
+
+def test_gauss_tables_match_cmath_loop_to_qmax_48():
+    worst = 0.0
+    for q in range(1, 49):
+        for p in range(q):
+            if math.gcd(p, q) == 1:
+                table = gauss_module._gauss_table(p, q)
+                worst = max(worst, max(abs(table[x] - oracle_gauss_sum_1d(p, q, x)) for x in range(q)))
+    assert worst <= 1e-14

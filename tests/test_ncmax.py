@@ -19,6 +19,7 @@ from sphlab import (
     spherical_average,
     square_function_norm,
 )
+from test_acceptance import grid_oracle_2x2
 
 INF = math.inf
 
@@ -150,37 +151,10 @@ def test_monotonicity_under_family_growth():
             assert full.value >= small.value - 1e-6
 
 
-def grid_oracle_2x2(xs: np.ndarray, p, step: float = 0.02) -> float:
-    """Dense search over real symmetric majorants [[al, ga], [ga, be]].
-
-    For real symmetric inputs the optimum over Hermitian majorants may be
-    taken real: conjugation preserves feasibility and the two norms, and the
-    midpoint of a with its conjugate is feasible with no larger norm.
-    """
-    top = float(sum(np.abs(np.linalg.eigvalsh(x)).max() for x in xs)) + 2 * step
-    diag = np.arange(0.0, top + step, step)
-    off = np.arange(-top, top + step, step)
-    be, ga = np.meshgrid(diag, off, indexing="ij")
-    best = math.inf
-    for al in diag:
-        feasible = np.ones(be.shape, dtype=bool)
-        for x in xs:
-            for sign in (1.0, -1.0):
-                m00 = al + sign * x[0, 0].real
-                m11 = be + sign * x[1, 1].real
-                m01 = ga + sign * x[0, 1].real
-                feasible &= (m00 + m11 >= 0) & (m00 * m11 - m01**2 >= 0)
-        if not feasible.any():
-            continue
-        if p == INF:
-            obj = ((al + be) + np.sqrt((al - be) ** 2 + 4 * ga**2)) / 2
-        else:
-            obj = np.sqrt(al**2 + be**2 + 2 * ga**2)
-        best = min(best, float(obj[feasible].min()))
-    return best
-
-
 def test_grid_oracle_agreement():
+    # for real symmetric inputs the optimum over Hermitian majorants may be
+    # taken real: conjugation preserves feasibility and the two norms, and the
+    # midpoint of a with its conjugate is feasible with no larger norm
     rng = np.random.Generator(np.random.Philox(700))
     for trial in range(8):
         k = int(rng.integers(1, 4))

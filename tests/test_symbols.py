@@ -7,6 +7,7 @@ from sphlab import (
     DomainError,
     RegimeViolation,
     SphereSpec,
+    continuous_sphere_symbol_batch,
     count_negative_cos,
     eval_continuous_sphere_symbol,
     eval_folded_symbol,
@@ -167,6 +168,19 @@ def test_continuous_symbol_bessel_closed_form():
     assert eval_continuous_sphere_symbol(13, 0.0) == 1.0
     with pytest.raises(DomainError):
         eval_continuous_sphere_symbol(1, 0.5)
+
+
+def test_continuous_symbol_batch_matches_quadrature():
+    radii = np.array([[0.0, 1e-12, -1e-3], [0.7, -2.5, 39.0]])
+    for d in (2, 3, 5, 8, 13, 16):
+        values = continuous_sphere_symbol_batch(d, radii)
+        assert values.shape == radii.shape
+        assert values[0, 0] == values[0, 1] == 1.0
+        for r, value in zip(radii.ravel(), values.ravel()):
+            assert value == pytest.approx(quadrature_sphere_symbol(d, abs(r)), abs=1e-12)
+            assert value == pytest.approx(eval_continuous_sphere_symbol(d, r), rel=1e-14, abs=1e-16)
+    with pytest.raises(DomainError):
+        continuous_sphere_symbol_batch(1, radii)
 
 
 def test_continuous_symbol_near_zero_expansion():
