@@ -38,4 +38,4 @@ class OddSide(SphlabError):
 
 
 class NonHermitianInput(SphlabError):
-    """A matrix field flagged Hermitian fails the Hermitian check."""
+    """A matrix field flagged Hermitian fails the Hermitian check or has a non-finite entry."""

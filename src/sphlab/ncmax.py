@@ -7,9 +7,12 @@ the closed form max_k ||x_k||_op times the identity at each site.  At p = 2
 all fiber problems are solved in one batch by accelerated projected
 gradient on the dual, whose value is a certified lower bound; an identity
 shift of the dual's primal point gives a feasible upper bound, and the
-solve stops when the two are within tolerance.  The scalar (n = 1) and
-commuting cases collapse to the pointwise supremum and serve as exact
-oracles.
+solve stops when the two are within tolerance.  At n = 2 the fibers are
+held as four real Pauli coordinates, in which the positive cone is the
+Lorentz cone and every eigen step has a closed form; larger fibers use
+batched LAPACK ``eigh``, which the tests keep as the n = 2 oracle.  The
+scalar (n = 1) and commuting cases collapse to the pointwise supremum and
+serve as exact oracles.
 """
 
 from __future__ import annotations
@@ -61,8 +64,9 @@ def lp_norm(f: TorusField, p) -> float:
 class HermitianStack:
     """An ordered family of Hermitian matrix fields sharing a flat site list.
 
-    matrices has shape (K, sites, n, n); each fiber must be Hermitian to
-    within ``tol``.
+    matrices has shape (K, sites, n, n) with n >= 1, else ``DomainError``;
+    every entry must be finite and each fiber Hermitian to within ``tol``,
+    else ``NonHermitianInput``.
     """
 
     matrices: np.ndarray
@@ -72,6 +76,10 @@ class HermitianStack:
         m = np.asarray(self.matrices, dtype=complex)
         if m.ndim != 4 or m.shape[-1] != m.shape[-2]:
             raise DomainError("expected shape (K, sites, n, n)")
+        if m.shape[-1] < 1:
+            raise DomainError("fiber size must be at least 1")
+        if not np.isfinite(m).all():
+            raise NonHermitianInput("matrix entries must be finite")
         dev = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(initial=0.0)
         if dev > self.tol:
             raise NonHermitianInput(f"Hermitian deviation {dev:.3e} above {self.tol:.1e}")
@@ -109,8 +117,116 @@ class MajorantSolution:
     iterations: int
 
 
-def _fro_sq(m: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(m) ** 2, axis=(-2, -1))
+class _MatrixCone:
+    """n x n Hermitian fibers as complex matrices, eigen steps by batched LAPACK.
+
+    Arrays have shape (..., sites, n, n); per-site quantities broadcast
+    against them after ``expand``.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.eye = np.eye(n, dtype=complex)
+
+    @staticmethod
+    def coords(m: np.ndarray) -> np.ndarray:
+        return m
+
+    @staticmethod
+    def matrices(h: np.ndarray) -> np.ndarray:
+        return h
+
+    @staticmethod
+    def expand(s: np.ndarray) -> np.ndarray:
+        return s[..., np.newaxis, np.newaxis]
+
+    @staticmethod
+    def extremes(h: np.ndarray):
+        vals = np.linalg.eigvalsh(h)
+        return vals[..., 0], vals[..., -1]
+
+    @staticmethod
+    def project(h: np.ndarray) -> np.ndarray:
+        vals, vecs = np.linalg.eigh(h)
+        clipped = vecs * np.maximum(vals, 0.0)[..., np.newaxis, :]
+        return clipped @ np.conj(np.swapaxes(vecs, -1, -2))
+
+    @staticmethod
+    def sq_norm(h: np.ndarray) -> np.ndarray:
+        return np.sum(np.abs(h) ** 2, axis=(-2, -1))
+
+    @staticmethod
+    def dot(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.sum((np.conj(z) * y).real, axis=(0, -2, -1))
+
+
+class _LorentzCone:
+    """2 x 2 Hermitian fibers as real Pauli coordinates, eigen steps in closed form.
+
+    H = h0 I + h1 sx + h2 sy + h3 sz has eigenvalues h0 +- |h|, so H >= 0
+    exactly when h0 >= |h|: the positive cone is the Lorentz cone.  Arrays
+    have shape (..., 4, sites) with the sites last, so per-site quantities
+    broadcast as they are; <Z, Y> = 2 (z0 y0 + z.y) and
+    ||H||^2 = 2 (h0^2 + |h|^2).
+    """
+
+    eye = np.array([1.0, 0.0, 0.0, 0.0])[:, np.newaxis]
+
+    @staticmethod
+    def coords(m: np.ndarray) -> np.ndarray:
+        # reads the lower triangle, as LAPACK does
+        d0, d1, low = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 1, 0]
+        return np.stack([(d0 + d1) / 2.0, low.real, low.imag, (d0 - d1) / 2.0], axis=-2)
+
+    @staticmethod
+    def matrices(h: np.ndarray) -> np.ndarray:
+        h0, h1, h2, h3 = np.moveaxis(h, -2, 0)
+        entries = np.stack([h0 + h3, h1 - 1j * h2, h1 + 1j * h2, h0 - h3], axis=-1)
+        return entries.reshape(entries.shape[:-1] + (2, 2))
+
+    @staticmethod
+    def expand(s: np.ndarray) -> np.ndarray:
+        return s
+
+    @staticmethod
+    def radius(h: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(h[..., 1:, :] ** 2, axis=-2))
+
+    def extremes(self, h: np.ndarray):
+        radius = self.radius(h)
+        return h[..., 0, :] - radius, h[..., 0, :] + radius
+
+    def project(self, h: np.ndarray) -> np.ndarray:
+        # clip the eigenvalues h0 +- |h| at 0; |h| = 0 leaves no vector part
+        radius = self.radius(h)
+        up = np.maximum(h[..., 0, :] + radius, 0.0)
+        down = np.maximum(h[..., 0, :] - radius, 0.0)
+        scale = np.divide(up - down, 2.0 * radius, out=np.zeros_like(radius), where=radius > 0)
+        out = np.empty_like(h)
+        out[..., 0, :] = (up + down) / 2.0
+        np.multiply(scale[..., np.newaxis, :], h[..., 1:, :], out=out[..., 1:, :])
+        return out
+
+    @staticmethod
+    def sq_norm(h: np.ndarray) -> np.ndarray:
+        return 2.0 * np.sum(h * h, axis=-2)
+
+    @staticmethod
+    def dot(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return 2.0 * np.sum(z * y, axis=(0, -2))
+
+
+def _cone(n: int):
+    """The positive cone of n x n Hermitian fibers, in closed form at n = 2.
+
+    Both cones map (..., sites, n, n) matrices to their own layout and back
+    (``coords``, ``matrices``) and give, in that layout, the identity
+    ``eye``, a per-site array made broadcastable (``expand``), the lowest
+    and highest eigenvalues (``extremes``), the projection onto the cone
+    (``project``), the squared Frobenius norm of each fiber (``sq_norm``)
+    and the real inner product summed over the leading member axis
+    (``dot``).
+    """
+    return _LorentzCone() if n == 2 else _MatrixCone(n)
 
 
 def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
@@ -125,30 +241,32 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     dual value d certifies ||a|| >= sqrt(2 d) at its site, and a shifted by
     the identity times its worst infeasibility is feasible.  The solve stops
     when the summed-in-squares best feasible norm and dual bound are within
-    ``tol``.  Returns (majorant, value, lower_bound, converged, iterations).
+    ``tol``.  At n = 2 the iterates are Pauli coordinates and every eigen
+    step is the closed form of the Lorentz cone (``_LorentzCone``); larger
+    fibers use batched LAPACK ``eigh`` (``_MatrixCone``).  Returns
+    (majorant, value, lower_bound, converged, iterations).
     """
-    ys = np.concatenate([xs, -xs])
+    cone = _cone(xs.shape[-1])
+    ys = cone.coords(np.concatenate([xs, -xs]))
     step = 1.0 / len(ys)
-    eye = np.eye(xs.shape[-1], dtype=complex)
     # a = 0 repaired is the p = inf closed form, feasible from the start
-    best = np.linalg.eigvalsh(ys)[..., -1].max(axis=0)[:, np.newaxis, np.newaxis] * eye
-    best_sq = _fro_sq(best)
+    best = cone.expand(cone.extremes(ys)[1].max(axis=0)) * cone.eye
+    best_sq = cone.sq_norm(best)
     lower_sq = np.zeros(xs.shape[1])
     z = v = np.zeros_like(ys)
     t, prev = 1.0, -math.inf
     converged, iters = False, 0
     for iters in range(1, max_iter + 1):
-        vals, vecs = np.linalg.eigh(v + step * (ys - v.sum(axis=0)))
-        clipped = vecs * np.maximum(vals, 0.0)[..., np.newaxis, :]
-        z_new = clipped @ np.conj(np.swapaxes(vecs, -1, -2))
+        z_new = cone.project(v + step * (ys - v.sum(axis=0)))
         a = z_new.sum(axis=0)
-        dual = np.sum((np.conj(z_new) * ys).real, axis=(0, 2, 3)) - _fro_sq(a) / 2.0
+        dual = cone.dot(z_new, ys) - cone.sq_norm(a) / 2.0
         lower_sq = np.maximum(lower_sq, 2.0 * dual)
-        shift = np.maximum(0.0, -np.linalg.eigvalsh(a - ys)[..., 0].min(axis=0))
-        cand = a + shift[:, np.newaxis, np.newaxis] * eye
-        cand_sq = _fro_sq(cand)
+        shift = np.maximum(0.0, -cone.extremes(a - ys)[0].min(axis=0))
+        cand = a + cone.expand(shift) * cone.eye
+        cand_sq = cone.sq_norm(cand)
         better = cand_sq < best_sq
-        best[better], best_sq[better] = cand[better], cand_sq[better]
+        best = np.where(cone.expand(better), cand, best)
+        best_sq = np.where(better, cand_sq, best_sq)
         if math.sqrt(best_sq.sum()) - math.sqrt(lower_sq.sum()) <= tol:
             converged = True
             break
@@ -159,7 +277,8 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
             v = z_new + ((t - 1.0) / t_next) * (z_new - z)
             t = t_next
         z, prev = z_new, dual.sum()
-    return best, math.sqrt(best_sq.sum()), math.sqrt(lower_sq.sum()), converged, iters
+    majorant = cone.matrices(best)
+    return majorant, math.sqrt(best_sq.sum()), math.sqrt(lower_sq.sum()), converged, iters
 
 
 def order_interval_majorant(
@@ -170,7 +289,8 @@ def order_interval_majorant(
     The fiber problems are independent.  At p = inf every feasible a has top
     eigenvalue at least max_k ||x_k||_op, and that multiple of the identity
     is feasible, so it is the majorant at each site, its value is also the
-    lower bound, and no iteration runs.  At p = 2 all sites are solved in
+    lower bound, and no iteration runs; at n = 2, ||x||_op = |h0| + |h| in
+    Pauli coordinates.  At p = 2 all sites are solved in
     one batch by the dual gradient scheme of ``_solve_p2``; the site norms
     are summed in squares, ``value - lower_bound`` is the certified
     optimality gap, ``tol`` the gap at which it stops and ``max_iter`` its
@@ -182,7 +302,9 @@ def order_interval_majorant(
     if stack.fiber > 8:
         raise DomainError("fiber sizes above 8 are out of scope")
     if p == math.inf:
-        spread = np.abs(np.linalg.eigvalsh(stack.matrices)).max(axis=(0, -1))
+        cone = _cone(stack.fiber)
+        low, high = cone.extremes(cone.coords(stack.matrices))
+        spread = np.maximum(high, -low).max(axis=0)
         majorant = spread[:, np.newaxis, np.newaxis] * np.eye(stack.fiber, dtype=complex)
         value = float(spread.max(initial=0.0))
         return MajorantSolution(majorant, value, value, converged=True, iterations=0)
