@@ -192,16 +192,6 @@ def _sphere_symbol(points: list[tuple[int, ...]], d: int, side: int) -> np.ndarr
     return np.fft.fftn(weights, out=weights).real.copy()
 
 
-def _apply_symbol(spectrum: np.ndarray, symbol: np.ndarray, d: int, out=None) -> np.ndarray:
-    """Inverse DFT over the d torus axes of symbol times spectrum.
-
-    The symbol broadcasts over the fiber axes of matrix fields.  ``out`` may
-    be the spectrum itself, which is then overwritten.
-    """
-    out = np.multiply(spectrum, symbol.reshape(symbol.shape + (1,) * (spectrum.ndim - d)), out=out)
-    return np.fft.ifftn(out, axes=tuple(range(d)), out=out)
-
-
 def spherical_average(f: TorusField, spec: SphereSpec, cap: int = 2_000_000) -> TorusField:
     """Mean of f(x - y) over the lattice sphere |y|^2 = lam, with wraparound.
 
@@ -212,9 +202,12 @@ def spherical_average(f: TorusField, spec: SphereSpec, cap: int = 2_000_000) -> 
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
     symbol = _sphere_symbol(_sphere_points(spec, cap), f.d, f.side)
+    axes = tuple(range(f.d))
     buf = np.array(f.values, dtype=complex)
-    np.fft.fftn(buf, axes=tuple(range(f.d)), out=buf)
-    return TorusField(f.d, _apply_symbol(buf, symbol, f.d, out=buf))
+    np.fft.fftn(buf, axes=axes, out=buf)
+    buf *= symbol.reshape(symbol.shape + (1,) * (buf.ndim - f.d))
+    np.fft.ifftn(buf, axes=axes, out=buf)
+    return TorusField(f.d, buf)
 
 
 def discrete_laplacian(f: TorusField, k: int) -> TorusField:
@@ -231,21 +224,16 @@ def discrete_laplacian(f: TorusField, k: int) -> TorusField:
 
 
 def dyadic_maximal(f: TorusField, scales: DyadicRange, cap: int = 2_000_000) -> TorusField:
-    """Pointwise max of |average at t| over t = 2^m in the range (scalar fields).
-
-    f is transformed once; each scale multiplies that spectrum by its sphere
-    symbol and takes one inverse DFT.
-    """
+    """Pointwise max of |average at t| over t = 2^m in the range (scalar fields)."""
     if f.is_matrix:
         raise DomainError("the pointwise maximal function is scalar-only")
     scales.check_side(f.side)
-    spectrum = np.array(f.values, dtype=complex)
-    np.fft.fftn(spectrum, axes=tuple(range(f.d)), out=spectrum)
-    top = np.zeros(spectrum.shape)
+    out = None
     for t in scales.scales():
-        symbol = _sphere_symbol(_sphere_points(SphereSpec(f.d, t * t), cap), f.d, f.side)
-        np.maximum(top, np.abs(_apply_symbol(spectrum, symbol, f.d)), out=top)
-    return TorusField(f.d, top.astype(complex))
+        avg = spherical_average(f, SphereSpec(f.d, t * t), cap=cap)
+        mag = np.abs(avg.values)
+        out = mag if out is None else np.maximum(out, mag)
+    return TorusField(f.d, out.astype(complex))
 
 
 def sign_flip_modulation(f: TorusField) -> TorusField:
