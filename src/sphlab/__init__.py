@@ -27,13 +27,10 @@ from .fields import (
     dft,
     discrete_laplacian,
     dyadic_maximal,
-    export_scalar_csv,
     idft,
     inverse_kernel,
-    load_field,
     periodized_multiplier_apply,
     sampled_kernel_apply,
-    save_field,
     sign_flip_modulation,
     spherical_average,
 )

@@ -220,9 +220,8 @@ def cmd_maximal_survey(args) -> int:
         else:
             print(f"# no frozen value for {key}; reporting only", file=sys.stderr)
     for trial in range(args.fiber_trials):
-        stack = random_hermitian_stack(
-            len(scales.exponents), args.fiber_sites, 2, args.seed + 1000 + trial
-        )
+        stack_seed = args.seed + 1000 + trial
+        stack = random_hermitian_stack(len(scales.exponents), args.fiber_sites, 2, stack_seed)
         for p_label, p in (("2", 2.0), ("inf", math.inf)):
             sol = order_interval_majorant(stack, p, tol=args.tol)
             gap = sol.value - sol.lower_bound
@@ -236,10 +235,16 @@ def cmd_maximal_survey(args) -> int:
                     p_label,
                     sol.value,
                     gap,
-                    args.seed + 1000 + trial,
+                    stack_seed,
                 ]
             )
             if gap > args.tol:
+                print(
+                    f"# majorant seed {stack_seed} p {p_label}: certified gap {gap!r} "
+                    f"above tol {args.tol!r} after {sol.iterations} iterations "
+                    f"(converged {sol.converged})",
+                    file=sys.stderr,
+                )
                 failed = True
     _write_csv(args, ["kind", "d", "L", "n", "K", "p", "value", "gap", "seed"], rows)
     return 1 if failed else 0

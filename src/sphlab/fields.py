@@ -1,23 +1,21 @@
 """Spatial-side operators on finite tori (Z_L)^d.
 
-Fields carry complex scalars or n x n complex matrices per site.  Spherical
-averages are convolutions computed through the DFT: the transform of the
-normalized sphere indicator, scattered onto the torus, multiplies the
-spectrum of the field.  Multipliers given as symbols act through the DFT
-too; the Laplacian and the sampled-kernel convolution act by periodic
-shifts.  The tests keep the one-shift-per-sphere-point average as the
-spatial oracle for the spectral one.  The side L is chosen by callers so
-that 2t < L for every sphere radius exercised, which makes the periodic
-computation agree with the infinite lattice for compactly supported
-inputs; for larger spheres points that coincide mod L keep their
-multiplicity.
+Fields carry real or complex scalars, or n x n complex matrices, per site.
+Spherical averages are convolutions computed through the real DFT: the
+sphere is symmetric, so the transform of its normalized indicator is real
+and even, and it multiplies the half-spectrum of a real field, or of the
+real and imaginary parts of a complex one.  Multipliers given as symbols
+act through the complex DFT; the Laplacian and the sampled-kernel
+convolution act by periodic shifts.  The tests keep the
+one-shift-per-sphere-point average as the spatial oracle for the spectral
+one.  The side L is chosen by callers so that 2t < L for every sphere
+radius exercised, which makes the periodic computation agree with the
+infinite lattice for compactly supported inputs; for larger spheres points
+that coincide mod L keep their multiplicity.
 """
 
 from __future__ import annotations
 
-import csv
-import math
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,19 +47,14 @@ __all__ = [
     "periodized_multiplier_apply",
     "sampled_kernel_apply",
     "inverse_kernel",
-    "save_field",
-    "load_field",
-    "export_scalar_csv",
 ]
 
 MAX_SITES = 1 << 26
 
-_HEADER = struct.Struct("<4I")  # d, L, kind (0 scalar / 1 matrix), fiber size
-
 
 @dataclass(frozen=True)
 class TorusField:
-    """A complex field on (Z_L)^d, scalar- or matrix-valued.
+    """A field on (Z_L)^d, scalar- or matrix-valued.
 
     values has shape (L,)*d for scalars and (L,)*d + (n, n) for matrices;
     the dimension d is stored explicitly to disambiguate the two layouts.
@@ -96,7 +89,8 @@ class TorusField:
 
     @staticmethod
     def scalar(values: np.ndarray) -> "TorusField":
-        values = np.asarray(values, dtype=complex)
+        """Real input stays real (float64); complex input stays complex."""
+        values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else np.float64)
         return TorusField(values.ndim, values)
 
     @staticmethod
@@ -181,33 +175,48 @@ def _sphere_points(spec: SphereSpec, cap: int) -> list[tuple[int, ...]]:
 
 
 def _sphere_symbol(points: list[tuple[int, ...]], d: int, side: int) -> np.ndarray:
-    """Real DFT of the normalized sphere indicator, on the (Z_side)^d frequency grid.
+    """Real DFT of the normalized sphere indicator, as a read-only half-spectrum.
 
-    Points that coincide mod side (possible once 2 sqrt(lam) >= side) add up,
-    so the symbol keeps their multiplicity.  The sphere is symmetric under
-    y -> -y, so the transform is real and only its real part is kept.
+    The array has the shape of ``rfftn`` over (Z_side)^d: the last torus
+    axis keeps frequencies 0..side//2.  Points that coincide mod side
+    (possible once 2 sqrt(lam) >= side) add up, so the symbol keeps their
+    multiplicity.  The sphere is symmetric under y -> -y, so the transform
+    is real and only its real part is kept.
     """
-    weights = np.zeros((side,) * d, dtype=complex)
+    from scipy import fft
+
+    weights = np.zeros((side,) * d)
     np.add.at(weights, tuple(np.mod(np.asarray(points), side).T), 1.0 / len(points))
-    return np.fft.fftn(weights, out=weights).real.copy()
+    symbol = fft.rfftn(weights).real
+    symbol.flags.writeable = False
+    return symbol
 
 
 def spherical_average(f: TorusField, spec: SphereSpec, cap: int = 2_000_000) -> TorusField:
     """Mean of f(x - y) over the lattice sphere |y|^2 = lam, with wraparound.
 
-    Computed as one convolution on the Fourier side: the sphere symbol
-    multiplies the DFT of f over the torus axes, in place in one work
-    buffer, and broadcasts over the fiber axes of matrix fields.
+    Computed as one real convolution on the Fourier side: the real sphere
+    symbol multiplies the half-spectrum of f over the torus axes and
+    broadcasts over the trailing axes.  A real scalar field is transformed
+    as it is and its average is real.  A complex or matrix field is
+    transformed through its float64 view, whose trailing axis of length 2
+    holds the real and imaginary parts, and the result is viewed back as
+    complex.
     """
+    from scipy import fft
+
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
     symbol = _sphere_symbol(_sphere_points(spec, cap), f.d, f.side)
     axes = tuple(range(f.d))
-    buf = np.array(f.values, dtype=complex)
-    np.fft.fftn(buf, axes=axes, out=buf)
-    buf *= symbol.reshape(symbol.shape + (1,) * (buf.ndim - f.d))
-    np.fft.ifftn(buf, axes=axes, out=buf)
-    return TorusField(f.d, buf)
+    complex_input = np.iscomplexobj(f.values)
+    x = f.values[..., np.newaxis].view(np.float64) if complex_input else f.values
+    spectrum = fft.rfftn(x, axes=axes)
+    spectrum *= symbol.reshape(symbol.shape + (1,) * (x.ndim - f.d))
+    out = fft.irfftn(spectrum, s=(f.side,) * f.d, axes=axes, overwrite_x=True)
+    if complex_input:
+        out = out.view(complex).reshape(f.values.shape)
+    return TorusField(f.d, out)
 
 
 def discrete_laplacian(f: TorusField, k: int) -> TorusField:
@@ -233,7 +242,7 @@ def dyadic_maximal(f: TorusField, scales: DyadicRange, cap: int = 2_000_000) -> 
         avg = spherical_average(f, SphereSpec(f.d, t * t), cap=cap)
         mag = np.abs(avg.values)
         out = mag if out is None else np.maximum(out, mag)
-    return TorusField(f.d, out.astype(complex))
+    return TorusField(f.d, out)
 
 
 def sign_flip_modulation(f: TorusField) -> TorusField:
@@ -303,34 +312,3 @@ def inverse_kernel(
         return float(table[tuple(np.mod(np.asarray(y, dtype=np.int64), side))])
 
     return kernel
-
-
-def save_field(f: TorusField, path: str) -> None:
-    """Flat binary layout: header (d, L, kind, n) then row-major complex doubles."""
-    kind = 1 if f.is_matrix else 0
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(f.d, f.side, kind, f.fiber))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
-
-
-def load_field(path: str) -> TorusField:
-    with open(path, "rb") as fh:
-        d, side, kind, fiber = _HEADER.unpack(fh.read(_HEADER.size))
-        raw = np.frombuffer(fh.read(), dtype="<c16")
-    shape = (side,) * d + ((fiber, fiber) if kind else ())
-    expected = math.prod(shape)
-    if raw.size != expected:
-        raise DomainError(f"payload holds {raw.size} values, header implies {expected}")
-    return TorusField(d, raw.reshape(shape).astype(complex))
-
-
-def export_scalar_csv(f: TorusField, path: str) -> None:
-    """One row per site: the d coordinates, then real and imaginary parts."""
-    if f.is_matrix:
-        raise DomainError("CSV export is scalar-only")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(f.d)] + ["re", "im"])
-        for idx in np.ndindex(*f.values.shape):
-            val = complex(f.values[idx])
-            writer.writerow(list(idx) + [repr(val.real), repr(val.imag)])

@@ -157,7 +157,7 @@ def test_maximal_survey_gate_and_solver(tmp_path):
     assert all(float(r[7]) <= 1e-6 for r in solver_rows)
 
 
-def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path):
+def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path, capsys):
     # 1e-12 is below what the default iteration budget can certify
     code, text = run(
         ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
@@ -167,6 +167,13 @@ def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path):
     assert code == 1
     gaps = [float(line.split(",")[7]) for line in text.splitlines() if line.startswith("majorant,")]
     assert gaps and max(gaps) > 1e-12
+    # the gate names the stack, p, gap, tol and why the solve stopped; p = inf is exact
+    fired = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# majorant ")]
+    assert len(fired) == 1
+    assert fired[0] == (
+        f"# majorant seed 1007 p 2: certified gap {max(gaps)!r} above tol 1e-12 "
+        "after 500 iterations (converged False)"
+    )
 
 
 BAD_POSITIVE = ["nan", "inf", "-inf", "0", "-1"]
@@ -288,10 +295,11 @@ def test_missing_thresholds_file_exit_2(tmp_path):
 
 
 def test_cli_import_skips_scipy_integrate_and_optimize():
+    # scipy.fft too: only the spherical average imports it, and most commands never average
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphlab.__file__)))
     probe = (
         "import sys, sphlab.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)

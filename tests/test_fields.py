@@ -20,13 +20,10 @@ from sphlab import (
     eval_cutoff,
     eval_semigroup_symbol,
     eval_sphere_multiplier,
-    export_scalar_csv,
     idft,
     inverse_kernel,
-    load_field,
     periodized_multiplier_apply,
     sampled_kernel_apply,
-    save_field,
     sign_flip_modulation,
     spherical_average,
 )
@@ -36,6 +33,11 @@ from sphlab.fields import _sphere_points
 def random_scalar(d, L, seed):
     rng = np.random.Generator(np.random.Philox(seed))
     return TorusField.scalar(rng.standard_normal((L,) * d) + 1j * rng.standard_normal((L,) * d))
+
+
+def random_real_scalar(d, L, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return TorusField.scalar(rng.standard_normal((L,) * d))
 
 
 def random_hermitian_field(d, L, n, seed):
@@ -110,19 +112,25 @@ def test_spherical_average_translation_commutes():
     assert np.abs(spherical_average(shifted, spec).values - avg_then_shifted).max() <= 1e-12
 
 
-@pytest.mark.parametrize("d,side", [(1, 40), (2, 12), (3, 8), (4, 6), (5, 5)])
+# the odd sides 9 and 5 need the explicit output shape in the inverse real DFT
+@pytest.mark.parametrize("d,side", [(1, 40), (2, 12), (2, 9), (3, 8), (4, 6), (5, 5)])
 def test_spherical_average_matches_roll_oracle(d, side):
     scalar = random_scalar(d, side, 150 + d)
+    real = random_real_scalar(d, side, 170 + d)
     matrix = random_hermitian_field(d, side, 2, 160 + d)
+    assert real.values.dtype == np.float64
     for lam in (0, 1, 2, 4, 16):
         spec = SphereSpec(d, lam)
         if d == 1 and lam == 2:
             with pytest.raises(EmptySphere):
                 spherical_average(scalar, spec)
             continue
-        for f in (scalar, matrix):
+        for f in (scalar, real, matrix):
             oracle = roll_spherical_average(f, spec)
-            assert np.abs(spherical_average(f, spec).values - oracle.values).max() <= 1e-12
+            avg = spherical_average(f, spec)
+            assert avg.values.dtype == f.values.dtype
+            assert avg.values.shape == f.values.shape
+            assert np.abs(avg.values - oracle.values).max() <= 1e-12
 
 
 def test_spherical_average_keeps_aliased_points():
@@ -200,7 +208,8 @@ def test_dyadic_maximal():
     f = random_scalar(2, 16, 117)
     single = dyadic_maximal(f, DyadicRange((0,)))
     avg = spherical_average(f, SphereSpec(2, 1))
-    assert np.array_equal(single.values, np.abs(avg.values).astype(complex))
+    assert single.values.dtype == np.float64
+    assert np.array_equal(single.values, np.abs(avg.values))
     multi = dyadic_maximal(f, DyadicRange((0, 1, 2)))
     for m in (0, 1, 2):
         lam = 4**m
@@ -214,6 +223,18 @@ def test_dyadic_maximal():
     assert np.array_equal(multi.values, permuted.values)
     with pytest.raises(DomainError):
         dyadic_maximal(f, DyadicRange((0, 3)))  # 2*8 >= 16
+
+
+@pytest.mark.parametrize("d,side", [(2, 16), (3, 9)])
+def test_dyadic_maximal_real_field_matches_complex_storage(d, side):
+    real = random_real_scalar(d, side, 180 + d)
+    stored_complex = TorusField.scalar(real.values.astype(complex))
+    assert stored_complex.values.dtype == np.complex128
+    scales = DyadicRange((0, 1, 2))
+    via_real = dyadic_maximal(real, scales)
+    via_complex = dyadic_maximal(stored_complex, scales)
+    assert via_real.values.dtype == via_complex.values.dtype == np.float64
+    assert np.abs(via_real.values - via_complex.values).max() <= 1e-12
 
 
 def test_sign_flip_modulation():
@@ -298,31 +319,6 @@ def test_sampled_kernel_q1_is_convolution():
         + 0.25 * np.roll(f.values, 1, axis=1)
     )
     assert np.abs(out.values - expected).max() <= 1e-14
-
-
-def test_field_serialization_round_trip(tmp_path):
-    f = random_scalar(2, 6, 137)
-    path = tmp_path / "field.bin"
-    save_field(f, str(path))
-    back = load_field(str(path))
-    assert back.d == 2 and back.side == 6 and not back.is_matrix
-    assert np.array_equal(back.values, f.values)
-    g = random_hermitian_field(2, 4, 3, 139)
-    save_field(g, str(path))
-    back = load_field(str(path))
-    assert back.is_matrix and back.fiber == 3
-    assert np.array_equal(back.values, g.values)
-
-
-def test_scalar_csv_export(tmp_path):
-    f = random_scalar(1, 4, 141)
-    path = tmp_path / "field.csv"
-    export_scalar_csv(f, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,re,im"
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert float(first[1]) == f.values[0].real
 
 
 def test_hermitian_check():
