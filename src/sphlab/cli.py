@@ -223,7 +223,7 @@ def cmd_maximal_survey(args) -> int:
         stack_seed = args.seed + 1000 + trial
         stack = random_hermitian_stack(len(scales.exponents), args.fiber_sites, 2, stack_seed)
         for p_label, p in (("2", 2.0), ("inf", math.inf)):
-            sol = order_interval_majorant(stack, p, tol=args.tol)
+            sol = order_interval_majorant(stack, p, tol=args.tol, max_iter=args.max_iter)
             gap = sol.value - sol.lower_bound
             rows.append(
                 [
@@ -297,6 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber-trials", type=int, default=2, help="n=2 majorant solves to report")
     p.add_argument("--fiber-sites", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iter", type=int, default=500, help="p=2 solver iteration budget")
     p.add_argument("--thresholds")
     p.add_argument("--refreeze", action="store_true")
 
@@ -372,7 +373,9 @@ def main(argv: list[str] | None = None) -> int:
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0.0):
             parser.error(f"--{name} must be finite and positive, got {value!r}")
-    for name, low in (("samples", 0), ("seed", 0), ("fiber_trials", 0), ("fiber_sites", 1)):
+    for name, low in (
+        ("samples", 0), ("seed", 0), ("fiber_trials", 0), ("fiber_sites", 1), ("max_iter", 1)
+    ):
         value = getattr(args, name, None)
         if value is not None and value < low:
             parser.error(f"--{name.replace('_', '-')} must be >= {low}, got {value}")

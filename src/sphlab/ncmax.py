@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonHermitianInput
-from .fields import DyadicRange, TorusField, dyadic_maximal
+from .fields import DyadicRange, TorusField, _scale_symbols, dyadic_maximal
 
 __all__ = [
     "HermitianStack",
@@ -359,16 +359,21 @@ class MaximalRatioStats:
 def empirical_maximal_ratio(
     d: int, side: int, scales: DyadicRange, trials: int, seed: int
 ) -> MaximalRatioStats:
-    """Sampled L2 ratios ||max_t |avg_t f|||_2 / ||f||_2 over Gaussian fields."""
+    """Sampled L2 ratios ||max_t |avg_t f|||_2 / ||f||_2 over Gaussian fields.
+
+    Each scale's sphere symbol is built once per call and shared by every
+    trial; it lives only as long as the call.
+    """
     if trials < 1:
         raise DomainError("need at least one trial")
     scales.check_side(side)
+    symbols = _scale_symbols(d, side, scales)
     rng = np.random.Generator(np.random.Philox(seed))
     ratios = []
     for _ in range(trials):
         f = TorusField.scalar(rng.standard_normal((side,) * d))
         denom = lp_norm(f, 2)
-        ratios.append(maximal_norm_commutative(f, scales, 2) / denom)
+        ratios.append(lp_norm(dyadic_maximal(f, scales, symbols=symbols), 2) / denom)
     return MaximalRatioStats(d, side, scales.exponents, trials, seed, tuple(ratios))
 
 

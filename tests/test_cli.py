@@ -176,6 +176,30 @@ def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path, capsys):
     )
 
 
+def test_maximal_survey_max_iter_budget(tmp_path, capsys):
+    # 2,048 sites need 812 iterations to certify tol 1e-6 on stack seed 1007
+    argv = ["maximal-survey", "--dims", "2", "--sides", "16", "--scales", "0,1,2", "--trials", "1",
+            "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "2048"]
+    code, _ = run(argv, tmp_path)
+    assert code == 1
+    fired = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# majorant ")]
+    assert len(fired) == 1 and fired[0].endswith("after 500 iterations (converged False)")
+    code, text = run(argv + ["--max-iter", "1000"], tmp_path)
+    assert code == 0
+    gaps = [float(line.split(",")[7]) for line in text.splitlines() if line.startswith("majorant,")]
+    assert len(gaps) == 2 and max(gaps) <= 1e-6
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--max-iter={bad}", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max-iter = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv + ["--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 BAD_POSITIVE = ["nan", "inf", "-inf", "0", "-1"]
 TOL_ARGV = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
             "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4"]

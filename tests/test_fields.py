@@ -27,7 +27,7 @@ from sphlab import (
     sign_flip_modulation,
     spherical_average,
 )
-from sphlab.fields import _sphere_points
+from sphlab.fields import _scale_symbols, _sphere_points, _sphere_symbol
 
 
 def random_scalar(d, L, seed):
@@ -235,6 +235,50 @@ def test_dyadic_maximal_real_field_matches_complex_storage(d, side):
     via_complex = dyadic_maximal(stored_complex, scales)
     assert via_real.values.dtype == via_complex.values.dtype == np.float64
     assert np.abs(via_real.values - via_complex.values).max() <= 1e-12
+
+
+def per_scale_maximal(f, scales):
+    """Oracle: max over t of |spherical_average(f, t^2)|, each scale built from scratch."""
+    mags = [np.abs(spherical_average(f, SphereSpec(f.d, t * t)).values) for t in scales.scales()]
+    return np.maximum.reduce(mags)
+
+
+@pytest.mark.parametrize("complex_storage", [False, True])
+@pytest.mark.parametrize("d,side", [(2, 16), (3, 9)])
+def test_dyadic_maximal_matches_per_scale_averages(d, side, complex_storage):
+    f = random_real_scalar(d, side, 200 + d) if not complex_storage else random_scalar(d, side, 200 + d)
+    kept = f.values.copy()
+    scales = DyadicRange((0, 1, 2))
+    shared = dyadic_maximal(f, scales)
+    assert shared.values.dtype == np.float64
+    assert np.array_equal(shared.values, per_scale_maximal(f, scales))
+    # the shared spectrum and the passed symbols are read, never written
+    symbols = _scale_symbols(d, side, scales)
+    for _ in range(2):
+        assert np.array_equal(dyadic_maximal(f, scales, symbols=symbols).values, shared.values)
+    assert np.array_equal(f.values, kept)
+
+
+def test_sphere_symbol_owns_a_real_copy():
+    symbol = _sphere_symbol(_sphere_points(SphereSpec(3, 4), 2_000_000), 3, 8)
+    assert symbol.dtype == np.float64 and symbol.shape == (8, 8, 5)
+    assert symbol.flags.c_contiguous and symbol.flags.owndata and not symbol.flags.writeable
+
+
+def test_precomputed_symbol_and_spectrum_shapes_are_checked():
+    f = random_real_scalar(2, 16, 190)
+    scales = DyadicRange((0, 1))
+    symbols = _scale_symbols(2, 16, scales)
+    with pytest.raises(DomainError):
+        dyadic_maximal(f, scales, symbols=symbols[:1])
+    with pytest.raises(DomainError):
+        dyadic_maximal(f, scales, symbols=symbols + symbols[:1])
+    with pytest.raises(DomainError):
+        spherical_average(f, SphereSpec(2, 1), symbol=np.zeros((16, 16)))
+    with pytest.raises(DomainError):
+        spherical_average(f, SphereSpec(2, 1), symbol=_scale_symbols(2, 8, scales)[0])
+    with pytest.raises(DomainError):
+        spherical_average(f, SphereSpec(2, 1), spectrum=np.zeros((16, 9, 2), dtype=complex))
 
 
 def test_sign_flip_modulation():

@@ -363,3 +363,17 @@ def test_empirical_maximal_ratio():
     again = empirical_maximal_ratio(2, 16, DyadicRange((0, 1, 2)), trials=5, seed=78)
     assert stats.ratios != multi.ratios
     assert multi.ratios == again.ratios
+
+
+@pytest.mark.parametrize("d,side,seed", [(2, 16, 78), (3, 9, 5)])
+def test_empirical_maximal_ratio_matches_per_scale_route(d, side, seed):
+    """Redraw the survey's Philox fields and take the maximum one public average at a time."""
+    scales = DyadicRange((0, 1, 2))
+    stats = empirical_maximal_ratio(d, side, scales, trials=4, seed=seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    expected = []
+    for _ in range(4):
+        f = TorusField.scalar(rng.standard_normal((side,) * d))
+        mags = [np.abs(spherical_average(f, SphereSpec(d, t * t)).values) for t in scales.scales()]
+        expected.append(lp_norm(TorusField(d, np.maximum.reduce(mags)), 2) / lp_norm(f, 2))
+    assert stats.ratios == tuple(expected)
