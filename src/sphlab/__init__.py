@@ -35,7 +35,6 @@ from .fields import (
     spherical_average,
 )
 from .gauss import (
-    PHI_CUTOFF,
     THETA_CUTOFF,
     ArcDecomposition,
     BumpCutoff,
@@ -49,7 +48,6 @@ from .gauss import (
     eval_minor_term,
     farey_set,
     gauss_sum,
-    gauss_sum_1d,
     verify_gauss_identities,
 )
 from .lattice import (
@@ -80,7 +78,6 @@ from .symbols import (
     eval_folded_symbol,
     eval_gaussian_approximant,
     eval_semigroup_symbol,
-    eval_sphere_multiplier,
     nearest_lattice,
     periodic_norm,
     reduce_to_torus,

@@ -60,17 +60,28 @@ def _default_thresholds_path() -> str:
 
 
 def _load_thresholds(path: str) -> dict[str, float]:
-    out: dict[str, float] = {}
+    """The ``key = value`` lines of a frozen pilot file, none if it is missing.
+
+    A line without a key or a finite value is a usage error naming the file
+    and line: a nan ceiling compares False with every ratio and disarms its gate.
+    """
     try:
         with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, _, value = line.partition("=")
-                out[key.strip()] = float(value.strip())
+            lines = fh.read().splitlines()
     except FileNotFoundError:
-        pass
+        return {}
+    out: dict[str, float] = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = (part.strip() for part in line.partition("="))
+        try:
+            out[key] = float(value)
+        except ValueError:
+            out[key] = math.nan
+        if not key or not math.isfinite(out[key]):
+            raise SphlabError(f"{path}:{lineno}: expected 'key = finite number', got {line!r}")
     return out
 
 
@@ -117,6 +128,9 @@ def cmd_verify_gauss(args) -> int:
 
 
 def cmd_residual(args) -> int:
+    key = f"residual_{args.regime}_d{args.d}_lam{args.lam}_s{args.samples}_seed{args.seed}"
+    path = args.thresholds or _default_thresholds_path()
+    frozen = _load_thresholds(path).get(key)
     spec = SphereSpec(args.d, args.lam)
     samples = residual_survey(spec, args.regime, args.samples, args.seed)
     rows = []
@@ -130,12 +144,9 @@ def cmd_residual(args) -> int:
         rows.append(["best_c", "", "", best_c, "", ""])
     _write_csv(args, ["xi_hash", "v_card", "branch", "residual", "bound", "ratio"], rows)
 
-    key = f"residual_{args.regime}_d{args.d}_lam{args.lam}_s{args.samples}_seed{args.seed}"
-    path = args.thresholds or _default_thresholds_path()
     if args.refreeze:
         _store_threshold(path, key, _round_up_sig(max_ratio))
         return 0
-    frozen = _load_thresholds(path).get(key)
     if frozen is None:
         print(f"# no frozen threshold for {key}; reporting only", file=sys.stderr)
         return 0
@@ -321,36 +332,44 @@ _COMMANDS = {
 }
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold key=value config lines in as flag defaults (flags still win)."""
+    """Fold key=value config lines in as flag defaults (flags still win).
+
+    A key is a flag without its dashes (``lambda``, ``fiber-sites``) and sets
+    that flag's default, read by the flag's own ``type``, in every subcommand
+    that has it; a key that none has, or a value it cannot read, raises
+    ValueError.
+    """
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         parser.error("--config needs a path")
-    defaults: dict[str, object] = {}
-    with open(argv[idx + 1]) as fh:
-        for line in fh:
+    path = argv[idx + 1]
+    subcommands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            value = value.strip()
-            if key in ("lambdas", "dims", "sides", "scales"):
-                defaults[key] = _parse_int_list(value)
-            elif key in ("regime", "out", "thresholds"):
-                defaults[key] = value
-            elif key in ("no_banner", "refreeze"):
-                defaults[key] = value.lower() in ("1", "true", "yes")
-            elif key in ("budget", "tol"):
-                defaults[key] = float(value)
-            else:
-                defaults[key] = int(value)
-    for action in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-        action.set_defaults(**defaults)
+            key, _, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            owners = [sub for sub in subcommands if flag in sub._option_string_actions]  # noqa: SLF001
+            if not owners or flag == "--help":
+                raise ValueError(f"{path}:{lineno}: no subcommand has the flag {flag}")
+            for sub in owners:
+                action = sub._option_string_actions[flag]  # noqa: SLF001
+                try:
+                    if action.nargs == 0:  # a flag without a value reads a boolean
+                        parsed = _BOOLEANS[value.lower()]
+                    else:
+                        parsed = value if action.type is None else action.type(value)
+                except (KeyError, ValueError):
+                    raise ValueError(f"{path}:{lineno}: {flag} cannot take {value!r}") from None
+                sub.set_defaults(**{action.dest: parsed})
     return argv[:idx] + argv[idx + 2 :]
 
 

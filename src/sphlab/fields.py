@@ -10,9 +10,11 @@ so each scale costs one multiply and one inverse transform; a caller that
 takes the maximum over many fields, such as the sampled ratio survey of
 ``ncmax``, builds each scale's symbol once and passes it down.  Nothing is
 cached between calls.  Multipliers given as symbols act through the
-complex DFT; the Laplacian and the sampled-kernel convolution act by
-periodic shifts.  The tests keep the one-shift-per-sphere-point average as
-the spatial oracle for the spectral one.  The side L is chosen by callers
+complex DFT: a symbol maps an (N, d) array of reduced frequencies to N
+values and is called once per grid.  The Laplacian and the sampled-kernel
+convolution act by periodic shifts.  The tests keep the
+one-shift-per-sphere-point average as the spatial oracle for the spectral
+one.  The side L is chosen by callers
 so that 2t < L for every sphere radius exercised, which makes the periodic
 computation agree with the infinite lattice for compactly supported
 inputs; for larger spheres points that coincide mod L keep their
@@ -156,17 +158,24 @@ def frequency_grid(d: int, side: int) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
-def apply_multiplier(f: TorusField, symbol: Callable[[np.ndarray], complex]) -> TorusField:
+def _sample_symbol(symbol: Callable[[np.ndarray], np.ndarray], d: int, side: int) -> np.ndarray:
+    """The symbol on every DFT frequency of (Z_side)^d, called once; shape (side,)*d."""
+    values = np.asarray(symbol(frequency_grid(d, side).reshape(-1, d)))
+    if values.shape != (side**d,):
+        raise DomainError(f"symbol returned shape {values.shape}, expected ({side**d},)")
+    return values.reshape((side,) * d)
+
+
+def apply_multiplier(f: TorusField, symbol: Callable[[np.ndarray], np.ndarray]) -> TorusField:
     """idft(symbol(k/L) * f_hat): the convolution operator attached to a symbol.
 
-    ``symbol`` is called once per frequency with the reduced coordinate
-    vector; for Z^d-periodic symbols this realizes the same operator as the
-    corresponding lattice convolution.
+    ``symbol`` maps an (N, d) array whose rows are the L^d frequencies k/L,
+    reduced to [-1/2, 1/2)^d, to an (N,) array of values; it is called once,
+    and any other result shape raises ``DomainError``.  For Z^d-periodic
+    symbols this realizes the same operator as the corresponding lattice
+    convolution.
     """
-    grid = frequency_grid(f.d, f.side)
-    flat = grid.reshape(-1, f.d)
-    mult = np.fromiter((symbol(xi) for xi in flat), dtype=complex, count=flat.shape[0])
-    mult = mult.reshape(grid.shape[:-1])
+    mult = _sample_symbol(symbol, f.d, f.side)
     if f.is_matrix:
         mult = mult[..., np.newaxis, np.newaxis]
     spectrum = dft(f)
@@ -333,18 +342,19 @@ def sign_flip_modulation(f: TorusField) -> TorusField:
 
 
 def periodized_multiplier_apply(
-    f: TorusField, q: int, base_symbol: Callable[[np.ndarray], complex]
+    f: TorusField, q: int, base_symbol: Callable[[np.ndarray], np.ndarray]
 ) -> TorusField:
     """Apply the (1/q)-periodization of a symbol supported in q^-1 Q.
 
     At each frequency the translated copies have disjoint supports, so the
-    periodized value is the base symbol at xi - [[q xi]]/q.
+    periodized value is the base symbol at xi - [[q xi]]/q.  ``base_symbol``
+    follows the (N, d) -> (N,) contract of ``apply_multiplier``.
     """
     if q < 1 or f.side % q:
         raise IndivisibleSide(f"q = {q} must divide the side {f.side}")
 
-    def periodized(xi: np.ndarray) -> complex:
-        return base_symbol(xi - np.floor(q * xi + 0.5) / q)
+    def periodized(xis: np.ndarray) -> np.ndarray:
+        return base_symbol(xis - np.floor(q * xis + 0.5) / q)
 
     return apply_multiplier(f, periodized)
 
@@ -372,17 +382,16 @@ def sampled_kernel_apply(
 
 
 def inverse_kernel(
-    d: int, side: int, symbol: Callable[[np.ndarray], complex]
+    d: int, side: int, symbol: Callable[[np.ndarray], np.ndarray]
 ) -> Callable[[np.ndarray], float]:
     """Spatial kernel of a symbol sampled on the (Z_L)^d frequency grid.
 
     K(y) = L^-d sum_k symbol(k/L) e^(2 pi i <k, y>/L); intended for real
-    symmetric symbols, whose kernels are real.
+    symmetric symbols, whose kernels are real.  ``symbol`` maps the (L^d, d)
+    array of reduced frequencies to an (L^d,) array in one call, as in
+    ``apply_multiplier``; any other result shape raises ``DomainError``.
     """
-    grid = frequency_grid(d, side)
-    flat = grid.reshape(-1, d)
-    sampled = np.fromiter((symbol(xi) for xi in flat), dtype=complex, count=flat.shape[0])
-    table = np.fft.ifftn(sampled.reshape((side,) * d)).real
+    table = np.fft.ifftn(_sample_symbol(symbol, d, side)).real
 
     def kernel(y: np.ndarray) -> float:
         return float(table[tuple(np.mod(np.asarray(y, dtype=np.int64), side))])

@@ -4,7 +4,8 @@ The sphere symbol at large radius splits into a sum of arc terms indexed by
 reduced fractions p/q, a tail term over large denominators, and an error
 term, so the bookkeeping identity can be checked numerically.  Each
 normalized 1-d Gauss sum G(p/q; x), x = 0..q-1, is tabulated once per
-(p, q) and cached; d-dimensional sums are products of table entries.
+(p, q) in each call that needs it, and nothing keeps the tables after the
+call; d-dimensional sums are products of table entries.
 ``decompose_arcs`` evaluates every arc term of a block of frequencies once,
 in one vectorized pass over the fractions, and reads each cutoff n off a
 prefix sum (major arcs, q < n) and a suffix sum (tail, q >= n) of those
@@ -26,13 +27,11 @@ from .symbols import continuous_sphere_symbol_batch, nearest_lattice, sphere_mul
 __all__ = [
     "FareyFraction",
     "farey_set",
-    "gauss_sum_1d",
     "gauss_sum",
     "GaussIdentityReport",
     "verify_gauss_identities",
     "BumpCutoff",
     "THETA_CUTOFF",
-    "PHI_CUTOFF",
     "eval_cutoff",
     "eval_major_arc_term",
     "eval_minor_term",
@@ -78,41 +77,29 @@ def farey_set(n: int) -> set[FareyFraction]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _gauss_table(p: int, q: int) -> np.ndarray:
-    """G(p/q; x) for x = 0..q-1, with 0 <= p < q (read-only).
+    """G(p/q; x) for x = 0..q-1, with 0 <= p < q.
 
     q^-1 sum_n e((n^2 p + x n)/q) over n mod q is the inverse DFT of the
     chirp e(n^2 p / q); the exponent n^2 p is reduced mod q in exact integer
     arithmetic before the complex exponential, so the phases stay small.
     """
     n = np.arange(q, dtype=np.int64)
-    table = np.fft.ifft(np.exp((2j * math.pi / q) * ((n * n * p) % q)))
-    table.setflags(write=False)
-    return table
-
-
-def _checked_table(p: int, q: int) -> np.ndarray:
-    """The table of p/q for any integer p, after checking q >= 1 and gcd(p, q) = 1."""
-    if q < 1:
-        raise DomainError(f"denominator must be >= 1, got {q}")
-    if math.gcd(p, q) != 1:
-        raise DomainError(f"gauss_sum_1d needs gcd(p, q) = 1, got p={p}, q={q}")
-    return _gauss_table(p % q, q)
-
-
-def gauss_sum_1d(p: int, q: int, x: int) -> complex:
-    """q^-1 sum_{n=1}^{q} e^(2 pi i (n^2 p + x n)/q), read from the (p, q) table."""
-    return complex(_checked_table(p, q)[int(x) % q])
+    return np.fft.ifft(np.exp((2j * math.pi / q) * ((n * n * p) % q)))
 
 
 def gauss_sum(p: int, q: int, x) -> complex:
     """The d-dimensional normalized quadratic Gauss sum at integer offset x.
 
-    Separates over coordinates as a product of 1-d sums; equals the direct
-    q^-d-normalized sum over the full residue grid.
+    q^-d sum over n in (Z_q)^d of e((|n|^2 p + <x, n>)/q), for gcd(p, q) = 1.
+    Separates over coordinates as a product of 1-d sums read from the (p, q)
+    table; a 1-d sum is the case of a one-entry x.
     """
-    table = _checked_table(p, q)
+    if q < 1:
+        raise DomainError(f"denominator must be >= 1, got {q}")
+    if math.gcd(p, q) != 1:
+        raise DomainError(f"gauss_sum needs gcd(p, q) = 1, got p={p}, q={q}")
+    table = _gauss_table(p % q, q)
     residues = [int(xj) % q for xj in np.asarray(x, dtype=object).ravel()]
     return complex(np.prod(table[residues]))
 
@@ -182,7 +169,6 @@ class BumpCutoff:
 
 
 THETA_CUTOFF = BumpCutoff(plateau=0.125, support=0.25)
-PHI_CUTOFF = BumpCutoff(plateau=0.25, support=0.5)
 
 
 def eval_cutoff(cut: BumpCutoff, x) -> float:
@@ -224,7 +210,7 @@ def _arc_terms(spec: SphereSpec, fracs, xis: np.ndarray) -> tuple[np.ndarray, np
     sigma_hat = surface_measure(d) * continuous_sphere_symbol_batch(d, radius)
     prefactor = float(lam) ** (d / 2.0 - 1.0) / (2.0 * count)
     phase = np.exp(-2j * math.pi * ((lam * ps) % qs) / qs)
-    # each fraction's Gauss factors are one gather from its cached 1-d table
+    # each fraction's Gauss factors are one gather from its 1-d table
     residues = nearest % q_col
     factors = np.array([_gauss_table(int(p), int(q))[r] for p, q, r in zip(ps, qs, residues)])
     terms = (prefactor * phase)[:, None] * factors.prod(axis=-1) * sigma_hat

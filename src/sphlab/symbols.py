@@ -17,13 +17,12 @@ import numpy as np
 from scipy.special import gamma, jv
 
 from .errors import DomainError, EmptySphere, RegimeViolation
-from .lattice import SphereSpec, enumerate_sphere, representation_count
+from .lattice import SphereSpec, representation_count
 
 __all__ = [
     "periodic_norm",
     "nearest_lattice",
     "reduce_to_torus",
-    "eval_sphere_multiplier",
     "sphere_multiplier_batch",
     "eval_gaussian_approximant",
     "eval_semigroup_symbol",
@@ -35,9 +34,6 @@ __all__ = [
     "residual_survey",
     "fit_small_scale_constant",
 ]
-
-DEFAULT_ENUMERATION_CAP = 2_000_000
-
 
 def nearest_lattice(x) -> np.ndarray:
     """The integer vector [[x]] with x - [[x]] in the half-open cube [-1/2, 1/2)^d."""
@@ -95,54 +91,31 @@ def sphere_multiplier_batch(spec: SphereSpec, xis: np.ndarray) -> np.ndarray:
     return poly[:, lam] / count
 
 
-def eval_sphere_multiplier(
-    spec: SphereSpec,
-    xi,
-    method: str = "coeff",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> complex:
-    """Mean of e^(2 pi i <xi, x>) over the lattice sphere |x|^2 = lam.
-
-    method "direct" enumerates the sphere (subject to ``cap``); method
-    "coeff" extracts the value as a generating-function coefficient and is
-    the only feasible route for large spheres.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if method == "direct":
-        count = representation_count(spec)
-        if count == 0:
-            raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
-        points = np.asarray(enumerate_sphere(spec, cap), dtype=float)
-        phases = points @ xi
-        return complex(np.exp(2j * np.pi * phases).sum() / count)
-    if method == "coeff":
-        return complex(sphere_multiplier_batch(spec, xi[np.newaxis, :])[0])
-    raise DomainError(f"unknown method {method!r}, expected 'direct' or 'coeff'")
-
-
-def eval_gaussian_approximant(spec: SphereSpec, xi, branch: str) -> float:
+def eval_gaussian_approximant(spec: SphereSpec, xi, branch):
     """The Gaussian stand-in for the sphere symbol at proportionality lam/d.
 
     branch "sin": exp(-(lam/d) sum_j sin^2(pi xi_j)), accurate when few
     coordinates have cos(2 pi xi_j) < 0.  branch "cos": (-1)^lam times the
-    cosine analogue, accurate when most coordinates do.
+    cosine analogue, accurate when most coordinates do.  The sum runs over
+    the last axis of ``xi``, so rows of an (N, d) array give N values;
+    ``branch`` is one name for every row or an array of names, one per row.
     """
     xi = np.asarray(xi, dtype=float)
-    kappa_sq = spec.lam / spec.d
-    if branch == "sin":
-        return float(np.exp(-kappa_sq * np.sum(np.sin(np.pi * xi) ** 2)))
-    if branch == "cos":
-        sign = -1.0 if spec.lam % 2 else 1.0
-        return float(sign * np.exp(-kappa_sq * np.sum(np.cos(np.pi * xi) ** 2)))
-    raise DomainError(f"unknown branch {branch!r}, expected 'sin' or 'cos'")
+    branch = np.asarray(branch)
+    is_cos = branch == "cos"
+    if not np.all(is_cos | (branch == "sin")):
+        raise DomainError(f"unknown branch in {branch!r}, expected 'sin' or 'cos'")
+    trig = np.where(is_cos[..., np.newaxis], np.cos(np.pi * xi), np.sin(np.pi * xi))
+    value = np.exp(-(spec.lam / spec.d) * np.sum(trig**2, axis=-1))
+    return np.where(is_cos & (spec.lam % 2 == 1), -value, value)[()]
 
 
-def eval_semigroup_symbol(time: float, xi) -> float:
-    """Discrete heat-semigroup symbol exp(-t sum_k sin^2(pi xi_k))."""
+def eval_semigroup_symbol(time: float, xi):
+    """Discrete heat-semigroup symbol exp(-t sum_k sin^2(pi xi_k)), over the last axis of xi."""
     if time <= 0:
         raise DomainError(f"semigroup time must be > 0, got {time}")
     xi = np.asarray(xi, dtype=float)
-    return float(np.exp(-time * np.sum(np.sin(np.pi * xi) ** 2)))
+    return np.exp(-time * np.sum(np.sin(np.pi * xi) ** 2, axis=-1))
 
 
 def _bessel_form(d: int, radius):
@@ -185,10 +158,10 @@ def eval_folded_symbol(spec: SphereSpec, xi) -> float:
     return eval_continuous_sphere_symbol(spec.d, spec.radius * periodic_norm(xi))
 
 
-def count_negative_cos(xi) -> int:
-    """#{j : cos(2 pi xi_j) < 0}, the coordinates steering the branch choice."""
+def count_negative_cos(xi):
+    """#{j : cos(2 pi xi_j) < 0} over the last axis of xi: the coordinates steering the branch."""
     xi = np.asarray(xi, dtype=float)
-    return int(np.count_nonzero(np.cos(2.0 * np.pi * xi) < 0.0))
+    return np.count_nonzero(np.cos(2.0 * np.pi * xi) < 0.0, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -255,11 +228,11 @@ def residual_survey(
     out: list[SymbolSample] = []
 
     if regime == "folded":
-        time = lam / d
-        for xi in points:
+        heats = eval_semigroup_symbol(lam / d, points)
+        v_cards = count_negative_cos(points)
+        for xi, heat, v_card in zip(points, heats, v_cards):
             norm = periodic_norm(xi)
             folded = eval_folded_symbol(spec, xi)
-            heat = eval_semigroup_symbol(time, xi)
             residual = abs(folded - heat)
             if norm == 0.0:
                 bound = 0.0
@@ -267,15 +240,16 @@ def residual_survey(
                 t = spec.radius
                 bound = min(t**2 / d * norm**2, t**-0.5 * d**0.25 / math.sqrt(norm))
             out.append(
-                SymbolSample(tuple(xi), complex(folded), heat, "sin", count_negative_cos(xi), residual, bound)
+                SymbolSample(tuple(xi), complex(folded), float(heat), "sin", int(v_card), residual, bound)
             )
         return out
 
     m_values = sphere_multiplier_batch(spec, points)
-    for xi, m_val in zip(points, m_values):
-        v_card = count_negative_cos(xi)
-        branch = "sin" if v_card <= d / 2 else "cos"
-        approx = eval_gaussian_approximant(spec, xi, branch)
+    v_cards = count_negative_cos(points)
+    branches = np.where(v_cards <= d / 2, "sin", "cos")
+    approxes = eval_gaussian_approximant(spec, points, branches)
+    for xi, m_val, approx, branch, v_card in zip(points, m_values, approxes, branches, v_cards):
+        branch = str(branch)
         residual = abs(m_val - approx)
         if regime == "small":
             if branch == "sin":
@@ -290,7 +264,9 @@ def residual_survey(
             scaled = kappa * norm
             wings = min(scaled, 1.0 / scaled) if scaled > 0.0 else 0.0
             bound = wings + 1.0 / kappa
-        out.append(SymbolSample(tuple(xi), complex(m_val), approx, branch, v_card, residual, bound))
+        out.append(
+            SymbolSample(tuple(xi), complex(m_val), float(approx), branch, int(v_card), residual, bound)
+        )
     return out
 
 

@@ -21,8 +21,6 @@ from sphlab import (
     dft,
     discrete_laplacian,
     empirical_maximal_ratio,
-    enumerate_sphere,
-    eval_sphere_multiplier,
     inverse_kernel,
     order_interval_majorant,
     periodized_multiplier_apply,
@@ -37,7 +35,8 @@ from sphlab import (
 )
 from sphlab.cli import _default_thresholds_path, _load_thresholds, main
 from sphlab.gauss import decomposition_error
-from test_fields import roll_spherical_average
+from test_fields import folded_base_symbol, roll_spherical_average
+from test_symbols import direct_sphere_multiplier
 
 THRESHOLDS = _load_thresholds(_default_thresholds_path())
 
@@ -92,8 +91,7 @@ def test_criterion_03_multiplier_dual_path():
                 continue
             pairs += 1
             xis = rng.random((100, d)) - 0.5
-            pts = np.asarray(enumerate_sphere(spec, 2_000_000), dtype=float)
-            direct = np.exp(2j * np.pi * (pts @ xis.T)).mean(axis=0)
+            direct = direct_sphere_multiplier(spec, xis)
             coeff = sphere_multiplier_batch(spec, xis)
             # tolerance relative to the unit scale of the normalized average
             # (|m| <= 1); near the symbol's zeros a pure ratio is not
@@ -111,11 +109,11 @@ def test_criterion_04_spatial_fourier_equivalence():
     for lam in (1, 2, 4):
         spec = SphereSpec(3, lam)
         spatial = roll_spherical_average(f, spec)
-        fourier = apply_multiplier(f, lambda xi: eval_sphere_multiplier(spec, xi, "direct"))
+        fourier = apply_multiplier(f, lambda xis: direct_sphere_multiplier(spec, xis))
         assert np.abs(spatial.values - fourier.values).max() <= 1e-10
     for k in (1, 2, 3):
         spatial = discrete_laplacian(f, k)
-        fourier = apply_multiplier(f, lambda xi: math.sin(math.pi * xi[k - 1]) ** 2)
+        fourier = apply_multiplier(f, lambda xis: np.sin(np.pi * xis[:, k - 1]) ** 2)
         assert np.abs(spatial.values - fourier.values).max() <= 1e-12
     hat = dft(f)
     assert np.sum(np.abs(f.values) ** 2) == pytest.approx(
@@ -136,23 +134,11 @@ def test_criterion_04_spatial_fourier_equivalence():
 
 def test_criterion_05_sampling_periodization_identity():
     t0 = time.time()
-    from sphlab import THETA_CUTOFF, eval_continuous_sphere_symbol, eval_cutoff
-
     spec = SphereSpec(2, 4)
-
-    def base(q):
-        def symbol(xi):
-            window = eval_cutoff(THETA_CUTOFF, q * np.asarray(xi))
-            if window == 0.0:
-                return 0.0
-            return window * eval_continuous_sphere_symbol(2, spec.radius * float(np.linalg.norm(xi)))
-
-        return symbol
-
     rng = np.random.Generator(np.random.Philox(5150))
     for q in (2, 3):
         f = TorusField.scalar(rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12)))
-        symbol = base(q)
+        symbol = folded_base_symbol(q, spec)
         via_symbol = periodized_multiplier_apply(f, q, symbol)
         via_kernel = sampled_kernel_apply(f, q, inverse_kernel(2, 12, symbol))
         assert np.abs(via_symbol.values - via_kernel.values).max() <= 1e-10
@@ -327,7 +313,7 @@ def test_criterion_11_decomposition_bookkeeping(tmp_path):
             for xi in points:
                 fields = rows[idx]
                 rep = decomposition_error(spec, n, xi)
-                symbol = eval_sphere_multiplier(spec, xi, method="coeff")
+                symbol = sphere_multiplier_batch(spec, xi)[0]
                 total = rep.major_sum + rep.minor_term + rep.total_error
                 assert abs(total - symbol) <= 1e-12
                 assert float(fields[6]) == pytest.approx(abs(rep.total_error), abs=1e-15)

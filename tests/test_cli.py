@@ -328,3 +328,73 @@ def test_cli_import_skips_scipy_integrate_and_optimize():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+RESIDUAL_ARGV = ["residual", "--regime", "folded", "--d", "8", "--lambda", "4", "--samples", "5",
+                 "--seed", "9"]
+MAXIMAL_ARGV = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
+                "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv,key",
+    [(RESIDUAL_ARGV, "residual_folded_d8_lam4_s5_seed9"), (MAXIMAL_ARGV, "maxratio_d2_L8_m01_t1_seed7")],
+)
+def test_non_finite_frozen_threshold_exit_2(tmp_path, capsys, argv, key, value):
+    # a nan ceiling or regression value would pass every comparison and disarm its gate
+    thresholds = tmp_path / "pilot.txt"
+    thresholds.write_text(f"# pilot\n{key} = {value}\n")
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--thresholds", str(thresholds), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{thresholds}:2:" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["residual_folded_d8_lam4_s5_seed9 = abc", "just some words", "= 1.0"])
+def test_malformed_threshold_line_exit_2(tmp_path, capsys, line):
+    thresholds = tmp_path / "pilot.txt"
+    thresholds.write_text(f"# pilot\n\nresidual_small_d25_lam1_s10_seed1 = 1.5\n{line}\n")
+    out = tmp_path / "x.csv"
+    assert main(RESIDUAL_ARGV + ["--thresholds", str(thresholds), "--out", str(out)]) == 2
+    assert f"{thresholds}:4:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(MAXIMAL_ARGV + ["--thresholds", str(thresholds), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("qmax = 4\nd = 3\nmax_iters = 9\n", ":3: no subcommand has the flag --max-iters"),
+        ("qmax = 4\nlam = 4\n", ":2: no subcommand has the flag --lam"),
+        ("qmax = abc\n", ":1: --qmax cannot take 'abc'"),
+        ("d = 2\nno-banner = maybe\n", ":2: --no-banner cannot take 'maybe'"),
+        ("help = 1\n", ":1: no subcommand has the flag --help"),
+    ],
+)
+def test_config_unknown_key_or_bad_value_exit_2(tmp_path, capsys, text, where):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify-gauss", "--qmax", "2", "--d", "2"])
+    assert exc.value.code == 2
+    assert f"{cfg}{where}" in capsys.readouterr().err
+
+
+def test_config_keys_take_their_flags_types(tmp_path):
+    from sphlab.cli import _apply_config, _build_parser
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "regime = folded\nd = 8\nlambda = 4\nsamples = 5\nseed = 9\nno_banner = yes\n"
+        "fiber-sites = 3\nmax_iter = 7\ntol = 1e-3\nscales = 0,1\n"
+    )
+    parser = _build_parser()
+    args = parser.parse_args(_apply_config(parser, ["--config", str(cfg), "maximal-survey"]))
+    assert (args.fiber_sites, args.max_iter, args.tol, args.scales) == (3, 7, 1e-3, [0, 1])
+    assert args.no_banner is True and args.seed == 9
+    out = tmp_path / "r.csv"
+    assert main(["--config", str(cfg), "residual", "--out", str(out)]) == 0
+    assert out.read_text().startswith("xi_hash,")
+    assert len(out.read_text().splitlines()) == 1 + 6 + 1

@@ -13,13 +13,11 @@ from sphlab import (
     THETA_CUTOFF,
     TorusField,
     apply_multiplier,
+    continuous_sphere_symbol_batch,
     dft,
     discrete_laplacian,
     dyadic_maximal,
-    eval_continuous_sphere_symbol,
-    eval_cutoff,
     eval_semigroup_symbol,
-    eval_sphere_multiplier,
     idft,
     inverse_kernel,
     periodized_multiplier_apply,
@@ -28,6 +26,7 @@ from sphlab import (
     spherical_average,
 )
 from sphlab.fields import _scale_symbols, _sphere_points, _sphere_symbol
+from test_symbols import direct_sphere_multiplier
 
 
 def random_scalar(d, L, seed):
@@ -156,32 +155,60 @@ def test_spherical_average_matches_multiplier():
     for lam in (1, 2, 4):
         spec = SphereSpec(3, lam)
         spatial = spherical_average(f, spec)
-        fourier = apply_multiplier(f, lambda xi: eval_sphere_multiplier(spec, xi, "direct"))
+        fourier = apply_multiplier(f, lambda xis: direct_sphere_multiplier(spec, xis))
         assert np.abs(spatial.values - fourier.values).max() <= 1e-10
 
 
 def test_apply_multiplier_identity_and_semigroup():
     f = random_scalar(2, 8, 111)
-    same = apply_multiplier(f, lambda xi: 1.0)
+    same = apply_multiplier(f, lambda xis: np.ones(len(xis)))
     assert np.abs(same.values - f.values).max() <= 1e-12
     two_step = apply_multiplier(
-        apply_multiplier(f, lambda xi: eval_semigroup_symbol(0.7, xi)),
-        lambda xi: eval_semigroup_symbol(1.1, xi),
+        apply_multiplier(f, lambda xis: eval_semigroup_symbol(0.7, xis)),
+        lambda xis: eval_semigroup_symbol(1.1, xis),
     )
-    one_step = apply_multiplier(f, lambda xi: eval_semigroup_symbol(1.8, xi))
+    one_step = apply_multiplier(f, lambda xis: eval_semigroup_symbol(1.8, xis))
     assert np.abs(two_step.values - one_step.values).max() <= 1e-12
+
+
+def test_symbol_sampled_once_on_the_frequency_grid():
+    f = random_scalar(3, 6, 112)
+    calls = []
+
+    def symbol(xis):
+        calls.append(xis.shape)
+        assert np.all((xis >= -0.5) & (xis < 0.5))
+        return np.exp(-np.sum(xis**2, axis=-1))
+
+    apply_multiplier(f, symbol)
+    inverse_kernel(3, 6, symbol)
+    assert calls == [(216, 3), (216, 3)]
+
+
+@pytest.mark.parametrize(
+    "symbol",
+    [lambda xis: 1.0, lambda xis: np.ones((len(xis), 1)), lambda xis: np.ones(len(xis) - 1)],
+)
+def test_wrong_shaped_symbol_raises(symbol):
+    f = random_scalar(2, 4, 114)
+    with pytest.raises(DomainError):
+        apply_multiplier(f, symbol)
+    with pytest.raises(DomainError):
+        inverse_kernel(2, 4, symbol)
+    with pytest.raises(DomainError):
+        periodized_multiplier_apply(f, 2, symbol)
 
 
 def test_semigroup_preserves_positivity():
     rng = np.random.Generator(np.random.Philox(113))
     f = TorusField.scalar(np.asarray(rng.random((8, 8)), dtype=complex))
-    out = apply_multiplier(f, lambda xi: eval_semigroup_symbol(0.9, xi))
+    out = apply_multiplier(f, lambda xis: eval_semigroup_symbol(0.9, xis))
     assert out.values.real.min() >= -1e-12
     raw = rng.standard_normal((8, 8, 2, 2)) + 1j * rng.standard_normal((8, 8, 2, 2))
     herm = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2
     psd = np.einsum("...ab,...cb->...ac", herm, np.conj(herm))
     g = TorusField.matrix(2, psd)
-    out = apply_multiplier(g, lambda xi: eval_semigroup_symbol(0.9, xi))
+    out = apply_multiplier(g, lambda xis: eval_semigroup_symbol(0.9, xis))
     eigs = np.linalg.eigvalsh(out.values)
     assert eigs.min() >= -1e-10
 
@@ -198,7 +225,7 @@ def test_discrete_laplacian():
     f = random_scalar(3, 16, 115)
     for k in (1, 2, 3):
         spatial = discrete_laplacian(f, k)
-        fourier = apply_multiplier(f, lambda xi: math.sin(math.pi * xi[k - 1]) ** 2)
+        fourier = apply_multiplier(f, lambda xis: np.sin(np.pi * xis[:, k - 1]) ** 2)
         assert np.abs(spatial.values - fourier.values).max() <= 1e-12
     with pytest.raises(DomainError):
         discrete_laplacian(f, 4)
@@ -305,13 +332,10 @@ def test_sign_flip_modulation():
 def folded_base_symbol(q, spec):
     """Cutoff times the continuous sphere symbol, supported in q^-1 Q."""
 
-    def symbol(xi):
-        window = eval_cutoff(THETA_CUTOFF, q * np.asarray(xi))
-        if window == 0.0:
-            return 0.0
-        return window * eval_continuous_sphere_symbol(
-            spec.d, spec.radius * float(np.linalg.norm(xi))
-        )
+    def symbol(xis):
+        window = THETA_CUTOFF.profile(q * xis).prod(axis=-1)
+        radii = spec.radius * np.linalg.norm(xis, axis=-1)
+        return window * continuous_sphere_symbol_batch(spec.d, radii)
 
     return symbol
 

@@ -7,9 +7,9 @@ import pytest
 
 from sphlab import gauss as gauss_module
 from sphlab import (
+    BumpCutoff,
     DomainError,
     InfeasibleScale,
-    PHI_CUTOFF,
     RangeError,
     SphereSpec,
     THETA_CUTOFF,
@@ -20,10 +20,8 @@ from sphlab import (
     eval_cutoff,
     eval_major_arc_term,
     eval_minor_term,
-    eval_sphere_multiplier,
     farey_set,
     gauss_sum,
-    gauss_sum_1d,
     nearest_lattice,
     representation_count,
     sphere_multiplier_batch,
@@ -73,11 +71,13 @@ def test_farey_validation():
 
 def test_gauss_sum_1d_examples():
     for p, x in [(0, 0), (1, 3), (2, -5)]:
-        assert gauss_sum_1d(p, 1, x) == pytest.approx(1.0, abs=1e-15)
-    assert gauss_sum_1d(1, 2, 1) == pytest.approx(1.0, abs=1e-15)
-    assert gauss_sum_1d(1, 2, 0) == pytest.approx(0.0, abs=1e-15)
+        assert gauss_sum(p, 1, [x]) == pytest.approx(1.0, abs=1e-15)
+    assert gauss_sum(1, 2, [1]) == pytest.approx(1.0, abs=1e-15)
+    assert gauss_sum(1, 2, [0]) == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(DomainError):
-        gauss_sum_1d(2, 4, 0)
+        gauss_sum(2, 4, [0])
+    with pytest.raises(DomainError):
+        gauss_sum(1, 0, [0])
 
 
 def test_gauss_sum_separability_vs_direct():
@@ -129,17 +129,18 @@ def test_gauss_sup_bound_direct():
 
 
 def test_cutoff_shapes():
+    wide = BumpCutoff(plateau=0.25, support=0.5)
     assert eval_cutoff(THETA_CUTOFF, [0.0, 0.0]) == 1.0
     assert eval_cutoff(THETA_CUTOFF, [0.3, 0.0]) == 0.0
     assert eval_cutoff(THETA_CUTOFF, [0.125]) == 1.0
     assert eval_cutoff(THETA_CUTOFF, [0.25]) == 0.0
-    assert eval_cutoff(PHI_CUTOFF, [0.25]) == 1.0
-    assert eval_cutoff(PHI_CUTOFF, [0.5]) == 0.0
+    assert eval_cutoff(wide, [0.25]) == 1.0
+    assert eval_cutoff(wide, [0.5]) == 0.0
     rng = np.random.Generator(np.random.Philox(37))
     xs = rng.random((10_000, 2)) - 0.5
     for x in xs[:200]:
         theta = eval_cutoff(THETA_CUTOFF, x)
-        phi = eval_cutoff(PHI_CUTOFF, x)
+        phi = eval_cutoff(wide, x)
         assert 0.0 <= theta <= 1.0
         assert 0.0 <= phi <= 1.0
         assert theta * phi == pytest.approx(theta, abs=1e-15)
@@ -205,7 +206,7 @@ def test_decomposition_bookkeeping():
             for _ in range(3):
                 xi = rng.random(d) - 0.5
                 report = decomposition_error(spec, n, xi)
-                direct = eval_sphere_multiplier(spec, xi, method="coeff")
+                direct = sphere_multiplier_batch(spec, xi)[0]
                 total = report.major_sum + report.minor_term + report.total_error
                 assert abs(total - direct) <= 1e-12
                 assert report.paper_bound == pytest.approx(
@@ -400,7 +401,7 @@ def oracle_minor_term(spec, n: int, xi, fractions) -> complex:
 
 def oracle_decomposition(spec, n: int, xi, fractions) -> tuple[complex, complex, complex]:
     """(major, minor, error) at one cutoff and frequency, one term at a time."""
-    m_val = eval_sphere_multiplier(spec, xi, method="coeff")
+    m_val = sphere_multiplier_batch(spec, xi)[0]
     major = 0.0 + 0.0j
     for frac in fractions:
         if frac.q < n:
@@ -473,7 +474,7 @@ def test_gauss_tables_match_direct_sum():
             assert table.shape == (q,)
             for x in range(q):
                 assert abs(table[x] - direct_gauss_sum(p, q, [x])) <= 1e-13
-                assert gauss_sum_1d(p + 2 * q, q, x - 3 * q) == table[x]
+                assert gauss_sum(p + 2 * q, q, [x - 3 * q]) == table[x]
 
 
 def test_gauss_tables_match_cmath_loop_to_qmax_48():

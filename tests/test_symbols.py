@@ -9,11 +9,11 @@ from sphlab import (
     SphereSpec,
     continuous_sphere_symbol_batch,
     count_negative_cos,
+    enumerate_sphere,
     eval_continuous_sphere_symbol,
     eval_folded_symbol,
     eval_gaussian_approximant,
     eval_semigroup_symbol,
-    eval_sphere_multiplier,
     nearest_lattice,
     periodic_norm,
     reduce_to_torus,
@@ -53,10 +53,16 @@ def test_sine_periodic_norm_sandwich():
     assert np.all(sines <= np.pi * norms + 1e-15)
 
 
+def direct_sphere_multiplier(spec: SphereSpec, xis) -> np.ndarray:
+    """Oracle: the mean of e^(2 pi i <xi, x>) over the enumerated sphere, one row per frequency."""
+    pts = np.asarray(enumerate_sphere(spec, 2_000_000), dtype=float)
+    return np.exp(2j * np.pi * (np.atleast_2d(xis) @ pts.T)).mean(axis=1)
+
+
 def test_multiplier_at_zero_and_quarter():
     for spec in (SphereSpec(2, 1), SphereSpec(3, 5), SphereSpec(6, 12)):
-        assert eval_sphere_multiplier(spec, np.zeros(spec.d)) == pytest.approx(1.0, abs=1e-13)
-    val = eval_sphere_multiplier(SphereSpec(2, 1), [0.25, 0.0], method="direct")
+        assert sphere_multiplier_batch(spec, np.zeros(spec.d))[0] == pytest.approx(1.0, abs=1e-13)
+    val = direct_sphere_multiplier(SphereSpec(2, 1), [0.25, 0.0])[0]
     assert val == pytest.approx(0.5, abs=1e-14)
 
 
@@ -64,15 +70,14 @@ def test_multiplier_dual_path():
     rng = np.random.Generator(np.random.Philox(17))
     for d, lam in [(2, 1), (3, 2), (4, 9), (5, 12), (6, 40)]:
         spec = SphereSpec(d, lam)
-        for _ in range(20):
-            xi = rng.random(d) - 0.5
-            direct = eval_sphere_multiplier(spec, xi, method="direct")
-            coeff = eval_sphere_multiplier(spec, xi, method="coeff")
-            assert abs(direct - coeff) <= 1e-11
+        xis = rng.random((20, d)) - 0.5
+        direct = direct_sphere_multiplier(spec, xis)
+        coeff = sphere_multiplier_batch(spec, xis)
+        assert np.abs(direct - coeff).max() <= 1e-11
     half = np.full(3, 0.5)
     spec = SphereSpec(3, 2)
-    assert eval_sphere_multiplier(spec, half, "direct") == pytest.approx(
-        eval_sphere_multiplier(spec, half, "coeff"), abs=1e-12
+    assert direct_sphere_multiplier(spec, half)[0] == pytest.approx(
+        sphere_multiplier_batch(spec, half)[0], abs=1e-12
     )
 
 
@@ -85,16 +90,14 @@ def test_multiplier_conjugation_and_bound():
     assert np.allclose(vals, mirrored, atol=1e-12)
     assert np.all(np.abs(vals) <= 1 + 1e-12)
     # the sphere is symmetric under x -> -x, so the symbol is real
-    directs = [eval_sphere_multiplier(spec, xi, "direct") for xi in xis]
-    assert max(abs(v.imag) for v in directs) <= 1e-10
+    assert np.abs(direct_sphere_multiplier(spec, xis).imag).max() <= 1e-10
 
 
 def test_multiplier_real_on_half_lattice():
     # at frequencies with coordinates in {0, 1/2} every phase is +-1
     spec = SphereSpec(4, 5)
-    for xi in ([0.5, 0, 0, 0], [0.5, 0.5, 0, 0], [0.5, 0.5, 0.5, 0.5]):
-        val = eval_sphere_multiplier(spec, xi, method="direct")
-        assert abs(val.imag) <= 1e-12
+    xis = [[0.5, 0, 0, 0], [0.5, 0.5, 0, 0], [0.5, 0.5, 0.5, 0.5]]
+    assert np.abs(direct_sphere_multiplier(spec, xis).imag).max() <= 1e-12
 
 
 def test_gaussian_approximant():
@@ -111,6 +114,19 @@ def test_gaussian_approximant():
     assert eval_gaussian_approximant(odd, np.full(4, 0.5), "cos") == pytest.approx(-1.0)
     with pytest.raises(DomainError):
         eval_gaussian_approximant(spec, xi, "tan")
+    # rows of an (N, d) array, with one branch per row, match the one-row calls bit for bit
+    rng = np.random.Generator(np.random.Philox(7))
+    for spec in (even, odd):
+        xis = rng.random((30, 4)) - 0.5
+        branches = np.where(count_negative_cos(xis) <= 2, "sin", "cos")
+        rows = eval_gaussian_approximant(spec, xis, branches)
+        assert rows.shape == (30,)
+        assert rows.tolist() == [eval_gaussian_approximant(spec, x, b) for x, b in zip(xis, branches)]
+        assert eval_gaussian_approximant(spec, xis, "cos").tolist() == [
+            eval_gaussian_approximant(spec, x, "cos") for x in xis
+        ]
+    with pytest.raises(DomainError):
+        eval_gaussian_approximant(even, xis, ["sin"] * 29 + ["tan"])
 
 
 def test_semigroup_symbol():
@@ -122,6 +138,8 @@ def test_semigroup_symbol():
         s, t = rng.random(2) + 0.1
         prod = eval_semigroup_symbol(s, xi) * eval_semigroup_symbol(t, xi)
         assert prod == pytest.approx(eval_semigroup_symbol(s + t, xi), rel=1e-14)
+    xis = rng.random((40, 5)) - 0.5
+    assert eval_semigroup_symbol(0.7, xis).tolist() == [eval_semigroup_symbol(0.7, x) for x in xis]
     with pytest.raises(DomainError):
         eval_semigroup_symbol(0.0, [0.1])
 
@@ -215,6 +233,7 @@ def test_count_negative_cos():
     assert count_negative_cos(np.zeros(3)) == 0
     assert count_negative_cos([0.5, 0.5, 0.0]) == 2
     assert count_negative_cos([0.3, 0.2]) == 1
+    assert count_negative_cos([[0.5, 0.5, 0.0], [0.1, 0.0, 0.2]]).tolist() == [2, 0]
 
 
 def test_residual_survey_regimes():
