@@ -71,7 +71,7 @@ from .ncmax import (
     square_function_norm,
 )
 from .symbols import (
-    SymbolSample,
+    ResidualSurvey,
     continuous_sphere_symbol_batch,
     count_negative_cos,
     eval_continuous_sphere_symbol,

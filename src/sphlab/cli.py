@@ -25,7 +25,7 @@ from .gauss import decompose_arcs, verify_gauss_identities
 from .lattice import SphereSpec, sphere_counts, surface_measure
 from .ncmax import empirical_maximal_ratio, order_interval_majorant, random_hermitian_stack
 from .fields import DyadicRange
-from .symbols import fit_small_scale_constant, residual_survey
+from .symbols import _survey_points, fit_small_scale_constant, residual_survey
 
 GAUSS_SUM_TOL = 1e-10
 GAUSS_BOUND_TOL = 1e-12
@@ -116,7 +116,11 @@ def _xi_hash(xi) -> str:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip() != ""]
+    """Comma-separated integers; an empty list raises ValueError, which argparse reports."""
+    values = [int(v) for v in text.split(",") if v.strip() != ""]
+    if not values:
+        raise ValueError(f"no integers in {text!r}")
+    return values
 
 
 def cmd_verify_gauss(args) -> int:
@@ -132,15 +136,14 @@ def cmd_residual(args) -> int:
     path = args.thresholds or _default_thresholds_path()
     frozen = _load_thresholds(path).get(key)
     spec = SphereSpec(args.d, args.lam)
-    samples = residual_survey(spec, args.regime, args.samples, args.seed)
-    rows = []
-    for s in samples:
-        rows.append([_xi_hash(s.xi), s.v_cardinality, s.branch, s.residual, s.bound_value, s.ratio])
-    max_ratio = max(s.ratio for s in samples)
-    max_residual = max(s.residual for s in samples)
-    rows.append(["max", "", "", max_residual, "", max_ratio])
+    survey = residual_survey(spec, args.regime, args.samples, args.seed)
+    ratio = survey.ratio
+    columns = (survey.v_card, survey.branch, survey.residual, survey.bound, ratio)
+    rows = [list(row) for row in zip(map(_xi_hash, survey.xis), *(c.tolist() for c in columns))]
+    max_ratio = float(ratio.max())
+    rows.append(["max", "", "", float(survey.residual.max()), "", max_ratio])
     if args.regime == "small":
-        best_c = fit_small_scale_constant(samples, args.lam / args.d)
+        best_c = fit_small_scale_constant(survey, args.lam / args.d)
         rows.append(["best_c", "", "", best_c, "", ""])
     _write_csv(args, ["xi_hash", "v_card", "branch", "residual", "bound", "ratio"], rows)
 
@@ -174,9 +177,7 @@ def cmd_ratio_survey(args) -> int:
 
 def cmd_decompose(args) -> int:
     spec = SphereSpec(args.d, args.lam)
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    points = np.zeros((args.samples + 1, args.d))
-    points[1:] = rng.random((args.samples, args.d)) - 0.5
+    points = _survey_points(args.d, args.samples, args.seed)
     cutoffs = range(args.nmin, args.nmax + 1)
     arcs = decompose_arcs(spec, points, cutoffs, budget=args.budget)
     rows = [

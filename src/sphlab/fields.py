@@ -57,6 +57,12 @@ __all__ = [
 ]
 
 MAX_SITES = 1 << 26
+MAX_SPHERE_POINTS = 2_000_000  # enumeration cap of every sphere an average uses
+
+
+def _check_sites(d: int, side: int) -> None:
+    if side**d > MAX_SITES:
+        raise InfeasibleScale(f"{side}^{d} sites exceeds the {MAX_SITES} budget")
 
 
 @dataclass(frozen=True)
@@ -79,8 +85,7 @@ class TorusField:
             raise DomainError("all torus axes must share the same side")
         if v.ndim == self.d + 2 and v.shape[-1] != v.shape[-2]:
             raise DomainError("matrix fibers must be square")
-        if side**self.d > MAX_SITES:
-            raise InfeasibleScale(f"{side}^{self.d} sites exceeds the {MAX_SITES} budget")
+        _check_sites(self.d, side)
 
     @property
     def side(self) -> int:
@@ -182,10 +187,10 @@ def apply_multiplier(f: TorusField, symbol: Callable[[np.ndarray], np.ndarray]) 
     return idft(TorusField(f.d, mult * spectrum.values))
 
 
-def _sphere_points(spec: SphereSpec, cap: int) -> list[tuple[int, ...]]:
+def _sphere_points(spec: SphereSpec) -> list[tuple[int, ...]]:
     if representation_count(spec) == 0:
         raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
-    return enumerate_sphere(spec, cap)
+    return enumerate_sphere(spec, MAX_SPHERE_POINTS)
 
 
 def _sphere_symbol(points: list[tuple[int, ...]], d: int, side: int) -> np.ndarray:
@@ -207,16 +212,16 @@ def _sphere_symbol(points: list[tuple[int, ...]], d: int, side: int) -> np.ndarr
     return symbol
 
 
-def _scale_symbols(
-    d: int, side: int, scales: DyadicRange, cap: int = 2_000_000
-) -> tuple[np.ndarray, ...]:
+def _scale_symbols(d: int, side: int, scales: DyadicRange) -> tuple[np.ndarray, ...]:
     """The sphere symbol of every radius t = 2^m in the range, in ``scales()`` order.
 
     Built once by a caller that takes the dyadic maximum of many fields on
-    the same torus, and passed to ``dyadic_maximal`` as ``symbols=``.
+    the same torus, and passed to ``dyadic_maximal`` as ``symbols=``.  A
+    torus over the site budget raises ``InfeasibleScale`` before any allocation.
     """
+    _check_sites(d, side)
     return tuple(
-        _sphere_symbol(_sphere_points(SphereSpec(d, t * t), cap), d, side)
+        _sphere_symbol(_sphere_points(SphereSpec(d, t * t)), d, side)
         for t in scales.scales()
     )
 
@@ -229,7 +234,6 @@ def _real_view(f: TorusField) -> np.ndarray:
 def spherical_average(
     f: TorusField,
     spec: SphereSpec,
-    cap: int = 2_000_000,
     *,
     symbol: np.ndarray | None = None,
     spectrum: np.ndarray | None = None,
@@ -259,7 +263,7 @@ def spherical_average(
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
     half = (f.side,) * (f.d - 1) + (f.side // 2 + 1,)
     if symbol is None:
-        symbol = _sphere_symbol(_sphere_points(spec, cap), f.d, f.side)
+        symbol = _sphere_symbol(_sphere_points(spec), f.d, f.side)
     elif symbol.shape != half:
         raise DomainError(f"symbol shape {symbol.shape} is not the half-spectrum shape {half}")
     axes = tuple(range(f.d))
@@ -297,7 +301,6 @@ def discrete_laplacian(f: TorusField, k: int) -> TorusField:
 def dyadic_maximal(
     f: TorusField,
     scales: DyadicRange,
-    cap: int = 2_000_000,
     *,
     symbols: tuple[np.ndarray, ...] | None = None,
 ) -> TorusField:
@@ -316,7 +319,7 @@ def dyadic_maximal(
         raise DomainError("the pointwise maximal function is scalar-only")
     scales.check_side(f.side)
     if symbols is None:
-        symbols = _scale_symbols(f.d, f.side, scales, cap)
+        symbols = _scale_symbols(f.d, f.side, scales)
     elif len(symbols) != len(scales.exponents):
         raise DomainError(f"{len(symbols)} symbols for {len(scales.exponents)} scales")
     spectrum = fft.rfftn(_real_view(f), axes=tuple(range(f.d)))

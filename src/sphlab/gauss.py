@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -176,7 +175,6 @@ def eval_cutoff(cut: BumpCutoff, x) -> float:
     return float(np.prod(cut.profile(np.asarray(x, dtype=float).ravel())))
 
 
-@lru_cache(maxsize=None)
 def _farey_sorted(n: int) -> tuple[FareyFraction, ...]:
     """The arc fractions p/q with 1 <= p <= q <= n, ordered by (q, p).
 

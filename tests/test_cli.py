@@ -200,6 +200,36 @@ def test_maximal_survey_max_iter_budget(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["maximal-survey", "--sides", "8", "--trials", "1", "--seed", "7"], "dims"),
+        (["ratio-survey", "--d", "8"], "lambdas"),
+    ],
+)
+def test_empty_int_list_exit_2(tmp_path, argv, flag):
+    out = ["--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--{flag}", ","] + out)
+    assert exc.value.code == 2
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{flag} = ,\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg)] + argv + out)
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_maximal_survey_over_site_budget_exit_3(tmp_path, capsys):
+    # 3^30 sites: the budget check must come before any torus array is allocated
+    out = tmp_path / "x.csv"
+    argv = ["maximal-survey", "--dims", "30", "--sides", "3", "--scales", "0", "--trials", "1",
+            "--seed", "7", "--out", str(out)]
+    assert main(argv) == 3
+    assert "3^30 sites exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 BAD_POSITIVE = ["nan", "inf", "-inf", "0", "-1"]
 TOL_ARGV = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
             "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4"]

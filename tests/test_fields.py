@@ -45,11 +45,11 @@ def random_hermitian_field(d, L, n, seed):
     return TorusField.matrix(d, (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2)
 
 
-def roll_spherical_average(f: TorusField, spec: SphereSpec, cap: int = 2_000_000) -> TorusField:
+def roll_spherical_average(f: TorusField, spec: SphereSpec) -> TorusField:
     """Spatial oracle: the mean of f(x - y) over the sphere, one periodic shift per point."""
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
-    points = _sphere_points(spec, cap)
+    points = _sphere_points(spec)
     axes = tuple(range(f.d))
     acc = np.zeros_like(f.values)
     for y in points:
@@ -287,7 +287,7 @@ def test_dyadic_maximal_matches_per_scale_averages(d, side, complex_storage):
 
 
 def test_sphere_symbol_owns_a_real_copy():
-    symbol = _sphere_symbol(_sphere_points(SphereSpec(3, 4), 2_000_000), 3, 8)
+    symbol = _sphere_symbol(_sphere_points(SphereSpec(3, 4)), 3, 8)
     assert symbol.dtype == np.float64 and symbol.shape == (8, 8, 5)
     assert symbol.flags.c_contiguous and symbol.flags.owndata and not symbol.flags.writeable
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from sphlab import (
     DomainError,
     RegimeViolation,
+    ResidualSurvey,
     SphereSpec,
     continuous_sphere_symbol_batch,
     count_negative_cos,
@@ -20,6 +22,7 @@ from sphlab import (
     residual_survey,
     sphere_multiplier_batch,
 )
+from sphlab.symbols import fit_small_scale_constant
 
 
 def test_periodic_norm_examples():
@@ -250,38 +253,120 @@ def test_residual_survey_regimes():
 def test_residual_survey_small():
     spec = SphereSpec(25, 1)
     out = residual_survey(spec, "small", 50, seed=42)
-    assert len(out) == 51
-    first = out[0]
-    assert first.xi == tuple([0.0] * 25)
-    assert first.branch == "sin"
-    assert first.residual == 0.0
+    assert out.xis.shape == (51, 25)
+    columns = (out.exact, out.approx, out.branch, out.v_card, out.residual, out.bound, out.trig_sum)
+    for column in columns + (out.ratio,):
+        assert column.shape == (51,)
+    assert not out.xis[0].any()
+    assert out.branch[0] == "sin"
+    assert out.residual[0] == 0.0
     rerun = residual_survey(spec, "small", 50, seed=42)
-    assert [s.residual for s in out] == [s.residual for s in rerun]
-    for s in out:
-        assert (s.branch == "sin") == (s.v_cardinality <= 12.5)
-        assert s.residual == abs(s.m_value - s.approx_value)
-        assert math.isfinite(s.ratio)
+    assert np.array_equal(out.residual, rerun.residual)
+    assert np.array_equal(out.branch == "sin", out.v_card <= 12.5)
+    assert np.array_equal(out.residual, np.abs(out.exact - out.approx))
+    assert np.isfinite(out.ratio).all()
+
+
+def row_trig_sum(xi: np.ndarray, branch: str) -> float:
+    """sum_j sin^2(pi xi_j) or sum_j cos^2(pi xi_j) at one frequency, in plain float arithmetic."""
+    trig = math.sin if branch == "sin" else math.cos
+    return sum(trig(math.pi * x) ** 2 for x in xi)
+
+
+def row_bound(spec: SphereSpec, regime: str, xi: np.ndarray, branch: str) -> float:
+    """A regime's bound at one frequency, in plain float arithmetic."""
+    d, kappa = spec.d, math.sqrt(spec.lam / spec.d)
+    if regime == "small":
+        total = row_trig_sum(xi, branch)
+        return min(math.exp(-(kappa**2) * total / 400.0), kappa**2 * total)
+    if regime == "intermediate":
+        scaled = kappa * float(periodic_norm(xi if branch == "sin" else xi + 0.5))
+        return (min(scaled, 1.0 / scaled) if scaled > 0.0 else 0.0) + 1.0 / kappa
+    norm, t = float(periodic_norm(xi)), spec.radius
+    return 0.0 if norm == 0.0 else min(t**2 / d * norm**2, t**-0.5 * d**0.25 / math.sqrt(norm))
+
+
+@pytest.mark.parametrize(
+    "regime, d, lam",
+    [
+        ("small", 25, 1),
+        ("small", 400, 16),  # kappa^2 S > 1: the exponential wing binds
+        ("intermediate", 10, 1000),
+        ("folded", 8, 4),
+        ("folded", 8, 16),  # t^(-1/2) d^(1/4) / |xi| binds
+    ],
+)
+def test_residual_survey_columns_match_row_oracle(regime, d, lam):
+    spec = SphereSpec(d, lam)
+    out = residual_survey(spec, regime, 100, seed=7)
+    cos_branch = out.branch == "cos"
+    assert np.array_equal(out.v_card, [count_negative_cos(xi) for xi in out.xis])
+    if regime == "folded":
+        assert not cos_branch.any()
+        heat = [eval_semigroup_symbol(lam / d, xi) for xi in out.xis]
+    else:
+        assert np.array_equal(cos_branch, out.v_card > d / 2)
+        assert cos_branch.any() or regime == "small"
+        heat = [eval_gaussian_approximant(spec, xi, b) for xi, b in zip(out.xis, out.branch)]
+    assert np.array_equal(out.approx, heat)
+    trig_sums = [row_trig_sum(xi, b) for xi, b in zip(out.xis, out.branch)]
+    assert np.allclose(out.trig_sum, trig_sums, rtol=1e-14, atol=0.0)
+    bounds = [row_bound(spec, regime, xi, b) for xi, b in zip(out.xis, out.branch)]
+    assert np.allclose(out.bound, bounds, rtol=1e-14, atol=0.0)
+
+
+def test_folded_survey_matches_scalar_symbol():
+    for d, lam in ((8, 1), (8, 16), (16, 4)):
+        spec = SphereSpec(d, lam)
+        out = residual_survey(spec, "folded", 300, seed=42)
+        scalar = [eval_continuous_sphere_symbol(d, spec.radius * periodic_norm(xi)) for xi in out.xis]
+        assert np.abs(out.exact - scalar).max() <= 2e-15
+        assert np.array_equal(out.exact, eval_folded_symbol(spec, out.xis))
 
 
 def test_residual_survey_folded_zero_sample():
     out = residual_survey(SphereSpec(8, 4), "folded", 5, seed=9)
-    assert out[0].residual == 0.0
-    assert out[0].bound_value == 0.0
-    assert out[0].ratio == 0.0
+    assert out.residual[0] == 0.0
+    assert out.bound[0] == 0.0
+    assert out.ratio[0] == 0.0
+
+
+def test_residual_survey_ratio_corners():
+    out = residual_survey(SphereSpec(8, 4), "folded", 2, seed=9)
+    corners = replace(out, residual=np.array([0.0, 1.0, 3.0]), bound=np.array([0.0, 0.0, 2.0]))
+    assert corners.ratio.tolist() == [0.0, math.inf, 1.5]
+
+
+def one_row_survey(xi, residual: float) -> ResidualSurvey:
+    """A synthetic "sin"-branch survey of the single frequency xi."""
+    xis = np.array([xi], dtype=float)
+    trig_sum = (np.sin(np.pi * xis) ** 2).sum(axis=1)
+    zero = np.zeros(1)
+    branch = np.array(["sin"])
+    return ResidualSurvey(
+        xis, zero, zero, branch, count_negative_cos(xis), np.array([residual]), zero, trig_sum
+    )
+
+
+def join(*surveys: ResidualSurvey) -> ResidualSurvey:
+    return ResidualSurvey(
+        *(np.concatenate([getattr(s, f.name) for s in surveys]) for f in fields(ResidualSurvey))
+    )
 
 
 def test_fit_small_scale_constant():
-    from sphlab import SymbolSample
-    from sphlab.symbols import fit_small_scale_constant
-
     out = residual_survey(SphereSpec(25, 1), "small", 100, seed=42)
     assert fit_small_scale_constant(out, 1 / 25) == 1.0
     # a synthetic sample violating even the flattest wing forces c = 0
-    xi = tuple([0.5] * 4)
-    bad = SymbolSample(xi, 2.0 + 0j, 0.0, "sin", 4, 2.0, 1.0)
-    assert fit_small_scale_constant([bad], 1.0) == 0.0
+    xi = [0.5] * 4
+    bad = one_row_survey(xi, 2.0)
+    assert bad.trig_sum[0] == 4.0
+    assert fit_small_scale_constant(bad, 1.0) == 0.0
+    # one violating row among dominated ones decides
+    assert fit_small_scale_constant(join(one_row_survey(xi, 0.0), bad), 1.0) == 0.0
     # intermediate case: residual between the c=1 and c=0 wings bisects
-    mid = SymbolSample(xi, 0.0j, 0.0, "sin", 4, math.exp(-4.0 / 800.0), 1.0)
-    fitted = fit_small_scale_constant([mid], 1.0)
+    mid = one_row_survey(xi, math.exp(-4.0 / 800.0))
+    fitted = fit_small_scale_constant(mid, 1.0)
     assert 0.0 < fitted < 1.0
-    assert math.exp(-fitted * 4.0 / 400.0) >= mid.residual - 1e-12
+    assert math.exp(-fitted * 4.0 / 400.0) >= mid.residual[0] - 1e-12
+    assert fit_small_scale_constant(join(one_row_survey(xi, 0.0), mid), 1.0) == fitted
