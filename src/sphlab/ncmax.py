@@ -5,14 +5,16 @@ positive majorant a with -a <= x_k <= a in the Loewner order.  The problem
 decouples over sites for p in {2, inf}.  At p = inf the optimal majorant is
 the closed form max_k ||x_k||_op times the identity at each site.  At p = 2
 all fiber problems are solved in one batch by accelerated projected
-gradient on the dual, whose value is a certified lower bound; an identity
-shift of the dual's primal point gives a feasible upper bound, and the
-solve stops when the two are within tolerance.  At n = 2 the fibers are
-held as four real Pauli coordinates, in which the positive cone is the
-Lorentz cone and every eigen step has a closed form; larger fibers use
-batched LAPACK ``eigh``, which the tests keep as the n = 2 oracle.  The
-scalar (n = 1) and commuting cases collapse to the pointwise supremum and
-serve as exact oracles.
+gradient on the dual, whose value is a certified lower bound; each site
+keeps its own momentum and restarts it by the gradient test, so the
+independent fibers do not reset one another.  An identity shift of the
+dual's primal point gives a feasible upper bound, and the solve stops when
+the two are within tolerance.  At n = 2 the fibers are held as four real
+Pauli coordinates, in which the positive cone is the Lorentz cone and
+every eigen step has a closed form; larger fibers use batched LAPACK
+``eigh``, which the tests keep as the n = 2 oracle.  The scalar (n = 1)
+and commuting cases collapse to the pointwise supremum and serve as exact
+oracles.
 """
 
 from __future__ import annotations
@@ -235,13 +237,15 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     The fiber problem min ||a||^2 / 2 subject to a >= y_j for y_j = +-x_k
     has the dual max sum_j <Z_j, y_j> - ||sum_j Z_j||^2 / 2 over Z_j >= 0,
     with primal point a = sum_j Z_j.  The dual gradient y_j - a is
-    2K-Lipschitz, so FISTA (Beck-Teboulle) steps by 1/(2K), projects each
-    Z_j onto the positive cone by an eigenvalue clip, and resets its
-    momentum when the summed dual value drops (O'Donoghue-Candes).  Any
-    dual value d certifies ||a|| >= sqrt(2 d) at its site, and a shifted by
-    the identity times its worst infeasibility is feasible.  The solve stops
-    when the summed-in-squares best feasible norm and dual bound are within
-    ``tol``.  At n = 2 the iterates are Pauli coordinates and every eigen
+    2K-Lipschitz, so FISTA (Beck-Teboulle) steps by 1/(2K) and projects
+    each Z_j onto the positive cone by an eigenvalue clip.  Each site
+    carries its own momentum t and restarts it at 1 when the gradient test
+    <V - Z_new, Z_new - Z> > 0 fires at that site (O'Donoghue-Candes), so
+    one oscillating fiber does not reset the acceleration of the others.
+    Any dual value d certifies ||a|| >= sqrt(2 d) at its site, and a
+    shifted by the identity times its worst infeasibility is feasible.  The
+    solve stops when the summed-in-squares best feasible norm and dual bound
+    are within ``tol``.  At n = 2 the iterates are Pauli coordinates and every eigen
     step is the closed form of the Lorentz cone (``_LorentzCone``); larger
     fibers use batched LAPACK ``eigh`` (``_MatrixCone``).  Returns
     (majorant, value, lower_bound, converged, iterations).
@@ -254,7 +258,7 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     best_sq = cone.sq_norm(best)
     lower_sq = np.zeros(xs.shape[1])
     z = v = np.zeros_like(ys)
-    t, prev = 1.0, -math.inf
+    t = np.ones(xs.shape[1])
     converged, iters = False, 0
     for iters in range(1, max_iter + 1):
         z_new = cone.project(v + step * (ys - v.sum(axis=0)))
@@ -270,13 +274,12 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
         if math.sqrt(best_sq.sum()) - math.sqrt(lower_sq.sum()) <= tol:
             converged = True
             break
-        if dual.sum() < prev:
-            t, v = 1.0, z_new
-        else:
-            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            v = z_new + ((t - 1.0) / t_next) * (z_new - z)
-            t = t_next
-        z, prev = z_new, dual.sum()
+        moved = z_new - z
+        restart = cone.dot(v - z_new, moved) > 0.0
+        t_next = np.where(restart, 1.0, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0)
+        beta = np.where(restart, 0.0, (t - 1.0) / t_next)
+        v = z_new + cone.expand(beta) * moved
+        z, t = z_new, t_next
     majorant = cone.matrices(best)
     return majorant, math.sqrt(best_sq.sum()), math.sqrt(lower_sq.sum()), converged, iters
 
@@ -294,9 +297,14 @@ def order_interval_majorant(
     one batch by the dual gradient scheme of ``_solve_p2``; the site norms
     are summed in squares, ``value - lower_bound`` is the certified
     optimality gap, ``tol`` the gap at which it stops and ``max_iter`` its
-    budget of batch iterations.
+    budget of batch iterations: a NaN or negative ``tol`` or a ``max_iter``
+    below 1 raises ``DomainError``.
     """
     p = _check_p(p)
+    if not tol >= 0.0:
+        raise DomainError(f"tol must be a non-negative number, got {tol!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
     if stack.family_size < 1:
         raise DomainError("need at least one family member")
     if stack.fiber > 8:

@@ -158,10 +158,11 @@ def test_maximal_survey_gate_and_solver(tmp_path):
 
 
 def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path, capsys):
-    # 1e-12 is below what the default iteration budget can certify
+    # this stack certifies 1e-12 only after 186 iterations, so a budget of 50 leaves it unmet
     code, text = run(
         ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
-         "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4", "--tol", "1e-12"],
+         "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4", "--tol", "1e-12",
+         "--max-iter", "50"],
         tmp_path,
     )
     assert code == 1
@@ -172,12 +173,12 @@ def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path, capsys):
     assert len(fired) == 1
     assert fired[0] == (
         f"# majorant seed 1007 p 2: certified gap {max(gaps)!r} above tol 1e-12 "
-        "after 500 iterations (converged False)"
+        "after 50 iterations (converged False)"
     )
 
 
 def test_maximal_survey_max_iter_budget(tmp_path, capsys):
-    # 2,048 sites need 812 iterations to certify tol 1e-6 on stack seed 1007
+    # 2,048 sites need 552 iterations to certify tol 1e-6 on stack seed 1007
     argv = ["maximal-survey", "--dims", "2", "--sides", "16", "--scales", "0,1,2", "--trials", "1",
             "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "2048"]
     code, _ = run(argv, tmp_path)

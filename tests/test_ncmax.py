@@ -143,9 +143,10 @@ def lapack_solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     The fiber problem min ||a||^2 / 2 subject to a >= y_j for y_j = +-x_k
     has the dual max sum_j <Z_j, y_j> - ||sum_j Z_j||^2 / 2 over Z_j >= 0,
     with primal point a = sum_j Z_j.  The dual gradient y_j - a is
-    2K-Lipschitz, so FISTA (Beck-Teboulle) steps by 1/(2K), projects each
-    Z_j onto the positive cone by an eigenvalue clip, and resets its
-    momentum when the summed dual value drops (O'Donoghue-Candes).  Any
+    2K-Lipschitz, so FISTA (Beck-Teboulle) steps by 1/(2K) and projects
+    each Z_j onto the positive cone by an eigenvalue clip.  Each site
+    carries its own momentum t and restarts it at 1 when the gradient test
+    <V - Z_new, Z_new - Z> > 0 fires at that site (O'Donoghue-Candes).  Any
     dual value d certifies ||a|| >= sqrt(2 d) at its site, and a shifted by
     the identity times its worst infeasibility is feasible.  The solve stops
     when the summed-in-squares best feasible norm and dual bound are within
@@ -159,7 +160,7 @@ def lapack_solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     best_sq = _fro_sq(best)
     lower_sq = np.zeros(xs.shape[1])
     z = v = np.zeros_like(ys)
-    t, prev = 1.0, -math.inf
+    t = np.ones(xs.shape[1])
     converged, iters = False, 0
     for iters in range(1, max_iter + 1):
         vals, vecs = np.linalg.eigh(v + step * (ys - v.sum(axis=0)))
@@ -176,13 +177,12 @@ def lapack_solve_p2(xs: np.ndarray, tol: float, max_iter: int):
         if math.sqrt(best_sq.sum()) - math.sqrt(lower_sq.sum()) <= tol:
             converged = True
             break
-        if dual.sum() < prev:
-            t, v = 1.0, z_new
-        else:
-            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-            v = z_new + ((t - 1.0) / t_next) * (z_new - z)
-            t = t_next
-        z, prev = z_new, dual.sum()
+        moved = z_new - z
+        restart = np.sum((np.conj(v - z_new) * moved).real, axis=(0, 2, 3)) > 0.0
+        t_next = np.where(restart, 1.0, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0)
+        beta = np.where(restart, 0.0, (t - 1.0) / t_next)
+        v = z_new + beta[:, np.newaxis, np.newaxis] * moved
+        z, t = z_new, t_next
     return best, math.sqrt(best_sq.sum()), math.sqrt(lower_sq.sum()), converged, iters
 
 
@@ -248,6 +248,44 @@ def test_oracle_catches_conjugated_pauli_coordinates(monkeypatch):
     sol = order_interval_majorant(stack, 2)
     assert abs(sol.value - value) <= 1e-12
     assert np.abs(sol.majorant - majorant).max() > MAJORANT_ABS
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_batch_solve_separates_over_sites(n):
+    # the fiber problems are independent, so a batch must give each site what
+    # it gets alone; tol 0 runs the full budget on both sides
+    stack = random_hermitian_stack(4, 16, n, n)
+    batch = order_interval_majorant(stack, 2, tol=0.0, max_iter=80)
+    assert batch.iterations == 80 and not batch.converged
+    for s in range(stack.sites):
+        alone = order_interval_majorant(
+            HermitianStack(stack.matrices[:, s : s + 1]), 2, tol=0.0, max_iter=80
+        )
+        assert np.abs(alone.majorant[0] - batch.majorant[s]).max() <= MAJORANT_ABS
+
+
+@pytest.mark.parametrize("n,budget", [(4, 150), (8, 200)])
+def test_p2_iterations_within_guard(n, budget):
+    sol = order_interval_majorant(random_hermitian_stack(4, 16, n, n), 2, tol=1e-6)
+    assert sol.converged and sol.iterations <= budget
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf])
+def test_majorant_rejects_bad_tol(tol):
+    stack = random_hermitian_stack(2, 3, 2, 1600)
+    assert order_interval_majorant(stack, 2, tol=0.0, max_iter=5).iterations == 5
+    for p in (2, INF):
+        with pytest.raises(DomainError):
+            order_interval_majorant(stack, p, tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_majorant_rejects_empty_budget(max_iter):
+    stack = random_hermitian_stack(2, 3, 2, 1600)
+    assert order_interval_majorant(stack, 2, max_iter=1).iterations == 1
+    for p in (2, INF):
+        with pytest.raises(DomainError):
+            order_interval_majorant(stack, p, max_iter=max_iter)
 
 
 def test_inf_majorant_closed_form_at_n2():
