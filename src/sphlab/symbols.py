@@ -54,6 +54,11 @@ def periodic_norm(x):
     return np.sqrt(np.sum(frac * frac, axis=-1))[()]
 
 
+# Rows of frequencies per cache block: each (lam + 1, rows) work array holds at
+# most 2**15 float64 entries (256 KiB), so the block's buffers stay in L2.
+_BLOCK_ENTRIES = 2**15
+
+
 def sphere_multiplier_batch(spec: SphereSpec, xis: np.ndarray) -> np.ndarray:
     """Normalized sphere exponential sums at a batch of frequencies.
 
@@ -62,33 +67,77 @@ def sphere_multiplier_batch(spec: SphereSpec, xis: np.ndarray) -> np.ndarray:
     pairing +-k makes every 1-d factor real, so the product is evaluated with
     real truncated-polynomial multiplications and Kahan compensation across
     the shifted adds.
+
+    The truncated product is held degree-major, as a (lam + 1, rows) array,
+    so every shifted slice is one contiguous block and each frequency's
+    weight broadcasts along the rows.  Rows run in blocks of
+    max(1, 2**15 // (lam + 1)), so the kernel's memory is bounded per block
+    instead of growing as N x lam.  The first factor is scattered directly
+    (its Kahan adds onto the product 1 are exact) and the last factor
+    computes only the z^lam coefficient, with the same Kahan recurrence; the
+    floating-point operations on every row are those of the full passes.
+    Non-finite frequencies and arrays that are not (N, d) raise DomainError.
     """
     count = representation_count(spec)
     if count == 0:
         raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
-    if xis.shape[1] != spec.d:
-        raise DomainError(f"frequency vectors must have length {spec.d}")
+    if xis.ndim != 2 or xis.shape[1] != spec.d:
+        raise DomainError(f"frequencies must be an (N, {spec.d}) array, got shape {xis.shape}")
+    if not np.isfinite(xis).all():
+        raise DomainError("frequencies must be finite")
     nbatch = xis.shape[0]
     lam = spec.lam
     if lam == 0:
         return np.ones(nbatch)
     ks = np.arange(1, math.isqrt(lam) + 1)
-    poly = np.zeros((nbatch, lam + 1))
-    poly[:, 0] = 1.0
-    for j in range(spec.d):
-        weights = 2.0 * np.cos(2.0 * np.pi * np.outer(xis[:, j], ks))
-        new = poly.copy()  # k = 0 contribution
-        comp = np.zeros_like(new)
-        for i, k in enumerate(ks):
-            sq = k * k
-            term = weights[:, i : i + 1] * poly[:, : lam + 1 - sq]
-            y = term - comp[:, sq:]
-            t = new[:, sq:] + y
-            comp[:, sq:] = (t - new[:, sq:]) - y
-            new[:, sq:] = t
-        poly = new
-    return poly[:, lam] / count
+    rows = max(1, _BLOCK_ENTRIES // (lam + 1))
+    coeff = np.empty(nbatch)
+    for start in range(0, nbatch, rows):
+        coeff[start : start + rows] = _sphere_coefficient_block(xis[start : start + rows], ks, lam)
+    return coeff / count
+
+
+def _sphere_coefficient_block(xis: np.ndarray, ks: np.ndarray, lam: int) -> np.ndarray:
+    """The unnormalized z^lam coefficients for one block of frequency rows."""
+    nrows, d = xis.shape
+    squares = ks * ks
+
+    def weights(j):  # (len(ks), nrows): the weight of z^(k^2) in factor j, per row
+        return (2.0 * np.cos(2.0 * np.pi * np.outer(xis[:, j], ks))).T
+
+    # the first factor times the product 1: its Kahan adds are exact
+    poly = np.zeros((lam + 1, nrows))
+    poly[0] = 1.0
+    poly[squares] = weights(0)
+    new = np.empty_like(poly)
+    comp = np.empty_like(poly)
+    y = np.empty_like(poly)
+    t = np.empty_like(poly)
+    for j in range(1, d - 1):
+        np.copyto(new, poly)  # k = 0 contribution
+        comp.fill(0.0)
+        for w, sq in zip(weights(j), squares):  # y = w p - c; t = s + y; c = (t - s) - y; s = t
+            n = lam + 1 - sq
+            yk, tk, cs, ns = y[:n], t[:n], comp[sq:], new[sq:]
+            np.multiply(poly[:n], w, out=yk)
+            np.subtract(yk, cs, out=yk)
+            np.add(ns, yk, out=tk)
+            np.subtract(tk, ns, out=cs)
+            np.subtract(cs, yk, out=cs)
+            np.copyto(ns, tk)
+        poly, new = new, poly
+    if d == 1:
+        return poly[lam]
+    # the last factor: the same recurrence at the z^lam coefficient only
+    total = poly[lam].copy()
+    carry = np.zeros(nrows)
+    for w, sq in zip(weights(d - 1), squares):
+        step = w * poly[lam - sq] - carry
+        after = total + step
+        carry = (after - total) - step
+        total = after
+    return total
 
 
 def _branch_trig_sum(xi, is_cos):

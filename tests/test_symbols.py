@@ -6,6 +6,7 @@ import pytest
 
 from sphlab import (
     DomainError,
+    EmptySphere,
     RegimeViolation,
     ResidualSurvey,
     SphereSpec,
@@ -19,10 +20,11 @@ from sphlab import (
     nearest_lattice,
     periodic_norm,
     reduce_to_torus,
+    representation_count,
     residual_survey,
     sphere_multiplier_batch,
 )
-from sphlab.symbols import fit_small_scale_constant
+from sphlab.symbols import _BLOCK_ENTRIES, fit_small_scale_constant
 
 
 def test_periodic_norm_examples():
@@ -101,6 +103,98 @@ def test_multiplier_real_on_half_lattice():
     spec = SphereSpec(4, 5)
     xis = [[0.5, 0, 0, 0], [0.5, 0.5, 0, 0], [0.5, 0.5, 0.5, 0.5]]
     assert np.abs(direct_sphere_multiplier(spec, xis).imag).max() <= 1e-12
+
+
+def row_major_sphere_multiplier(spec: SphereSpec, xis) -> np.ndarray:
+    """Oracle: the unblocked row-major Kahan extraction over one (N, lam + 1) product.
+
+    Every factor, the first and last included, runs the full shifted-add
+    pass, so the blocked degree-major kernel must reproduce it bit for bit.
+    """
+    xis = np.atleast_2d(np.asarray(xis, dtype=float))
+    nbatch, lam = xis.shape[0], spec.lam
+    if lam == 0:
+        return np.ones(nbatch)
+    ks = np.arange(1, math.isqrt(lam) + 1)
+    poly = np.zeros((nbatch, lam + 1))
+    poly[:, 0] = 1.0
+    for j in range(spec.d):
+        weights = 2.0 * np.cos(2.0 * np.pi * np.outer(xis[:, j], ks))
+        new = poly.copy()  # k = 0 contribution
+        comp = np.zeros_like(new)
+        for i, k in enumerate(ks):
+            sq = k * k
+            term = weights[:, i : i + 1] * poly[:, : lam + 1 - sq]
+            y = term - comp[:, sq:]
+            t = new[:, sq:] + y
+            comp[:, sq:] = (t - new[:, sq:]) - y
+            new[:, sq:] = t
+        poly = new
+    return poly[:, lam] / representation_count(spec)
+
+
+def block_rows(lam: int) -> int:
+    return max(1, _BLOCK_ENTRIES // (lam + 1))
+
+
+@pytest.mark.parametrize(
+    "d, lam, nrows",
+    [
+        (4, 0, 5),  # lam = 0: the constant 1
+        (1, 49, 40),  # d = 1: the first factor is also the last
+        (2, 25, 60),
+        (3, 6, 0),  # an empty (0, d) batch
+        (4, 300, 1),
+        (4, 300, block_rows(300)),  # exactly one block
+        (4, 300, 3 * block_rows(300) + 17),  # several blocks, the last one ragged
+        (3, 40000, 3),  # lam + 1 > 2**15: one row per block
+    ],
+)
+def test_multiplier_matches_row_major_oracle(d, lam, nrows):
+    spec = SphereSpec(d, lam)
+    rng = np.random.Generator(np.random.Philox(d * 100_003 + lam))
+    xis = rng.random((nrows, d)) - 0.5
+    got = sphere_multiplier_batch(spec, xis)
+    assert got.shape == (nrows,)
+    assert np.array_equal(got, row_major_sphere_multiplier(spec, xis))
+
+
+def test_multiplier_matches_row_major_oracle_at_intermediate_pilot():
+    # the 201 frequencies of the gated pilot: d = 10, lam = 1000, 200 samples, seed 42
+    out = residual_survey(SphereSpec(10, 1000), "intermediate", 200, seed=42)
+    assert len(out.xis) == 201 > block_rows(1000)
+    assert np.array_equal(out.exact, row_major_sphere_multiplier(SphereSpec(10, 1000), out.xis))
+
+
+def test_multiplier_empty_sphere_at_non_square_lambda_in_one_dimension():
+    assert sphere_multiplier_batch(SphereSpec(1, 49), [[0.1]]).shape == (1,)
+    with pytest.raises(EmptySphere):
+        sphere_multiplier_batch(SphereSpec(1, 50), [[0.1]])
+
+
+def test_multiplier_rows_are_independent_of_blocking():
+    spec = SphereSpec(5, 400)
+    rng = np.random.Generator(np.random.Philox(29))
+    xis = rng.random((2 * block_rows(400) + 5, 5)) - 0.5
+    one_by_one = np.concatenate([sphere_multiplier_batch(spec, xi[np.newaxis]) for xi in xis])
+    assert np.array_equal(sphere_multiplier_batch(spec, xis), one_by_one)
+
+
+def test_multiplier_rejects_bad_frequency_arrays():
+    spec = SphereSpec(3, 2)
+    assert sphere_multiplier_batch(spec, np.zeros((2, 3))).shape == (2,)
+    with pytest.raises(DomainError):
+        sphere_multiplier_batch(spec, np.zeros((2, 3, 3)))
+    with pytest.raises(DomainError):
+        sphere_multiplier_batch(spec, np.zeros((2, 4)))
+    lam_zero = SphereSpec(3, 0)  # checked before the lam = 0 shortcut
+    assert np.array_equal(sphere_multiplier_batch(lam_zero, np.full((2, 3), 0.25)), [1.0, 1.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        xis = np.full((2, 3), 0.25)
+        xis[1, 2] = bad
+        for s in (spec, lam_zero):
+            with pytest.raises(DomainError):
+                sphere_multiplier_batch(s, xis)
 
 
 def test_gaussian_approximant():
