@@ -309,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fiber-trials", type=int, default=2, help="n=2 majorant solves to report")
     p.add_argument("--fiber-sites", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=500, help="p=2 solver iteration budget")
+    p.add_argument("--max-iter", type=int, default=500, help="p=2 solver budget of dual sweeps")
     p.add_argument("--thresholds")
     p.add_argument("--refreeze", action="store_true")
 

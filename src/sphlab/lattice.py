@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import CapExceeded, DomainError, EmptySphere
 
 __all__ = [
@@ -64,22 +66,18 @@ def theta_coefficients(lam: int) -> list[int]:
 def sphere_counts(d: int, lam_max: int) -> tuple[int, ...]:
     """r_d(m) for m = 0..lam_max, exact.
 
-    Built by multiplying the truncated theta polynomial into the (d-1)-table,
-    so all lower dimensions are cached along the way.
+    Built by slice-adding the truncated theta polynomial into the (d-1)-table
+    on exact Python-int (``object``) arrays; lower dimensions are cached too.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
     if d == 1:
         return tuple(theta_coefficients(lam_max))
-    prev = sphere_counts(d - 1, lam_max)
-    out = list(prev)  # k = 0 term
-    k = 1
-    while k * k <= lam_max:
-        sq = k * k
-        for m in range(lam_max - sq + 1):
-            out[m + sq] += 2 * prev[m]
-        k += 1
-    return tuple(out)
+    prev = np.array(sphere_counts(d - 1, lam_max), dtype=object)
+    out = prev.copy()  # k = 0 term
+    for k in range(1, math.isqrt(lam_max) + 1):
+        out[k * k :] += 2 * prev[: lam_max + 1 - k * k]
+    return tuple(out.tolist())
 
 
 def representation_count(spec: SphereSpec) -> int:

@@ -158,7 +158,7 @@ def test_maximal_survey_gate_and_solver(tmp_path):
 
 
 def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path, capsys):
-    # this stack certifies 1e-12 only after 186 iterations, so a budget of 50 leaves it unmet
+    # this stack certifies 1e-12 only after 98 sweeps, so a budget of 50 leaves it unmet
     code, text = run(
         ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
          "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4", "--tol", "1e-12",
@@ -178,14 +178,14 @@ def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path, capsys):
 
 
 def test_maximal_survey_max_iter_budget(tmp_path, capsys):
-    # 2,048 sites need 552 iterations to certify tol 1e-6 on stack seed 1007
+    # 2,048 sites need 163 sweeps to certify tol 1e-6 on stack seed 1007
     argv = ["maximal-survey", "--dims", "2", "--sides", "16", "--scales", "0,1,2", "--trials", "1",
             "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "2048"]
-    code, _ = run(argv, tmp_path)
+    code, _ = run(argv + ["--max-iter", "100"], tmp_path)
     assert code == 1
     fired = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# majorant ")]
-    assert len(fired) == 1 and fired[0].endswith("after 500 iterations (converged False)")
-    code, text = run(argv + ["--max-iter", "1000"], tmp_path)
+    assert len(fired) == 1 and fired[0].endswith("after 100 iterations (converged False)")
+    code, text = run(argv, tmp_path)
     assert code == 0
     gaps = [float(line.split(",")[7]) for line in text.splitlines() if line.startswith("majorant,")]
     assert len(gaps) == 2 and max(gaps) <= 1e-6

@@ -65,6 +65,29 @@ def test_convolution_recursion():
             assert upper[lam] == total
 
 
+def loop_sphere_counts(d: int, lam_max: int) -> list[int]:
+    """Loop oracle: multiply the theta polynomial in d times, one Python-int add per term."""
+    out = theta_coefficients(lam_max)
+    for _ in range(d - 1):
+        prev = list(out)
+        k = 1
+        while k * k <= lam_max:
+            sq = k * k
+            for m in range(lam_max - sq + 1):
+                out[m + sq] += 2 * prev[m]
+            k += 1
+    return out
+
+
+def test_counts_match_loop_oracle_past_int64():
+    # r_24 reaches past 2^67 by lam = 100, where an int64 shortcut would wrap
+    table = sphere_counts(24, 100)
+    oracle = loop_sphere_counts(24, 100)
+    assert max(oracle) > 2**67
+    assert type(table) is tuple and all(type(c) is int for c in table)
+    assert list(table) == oracle
+
+
 def jacobi_counts(d: int, n_max: int) -> list[int]:
     """Jacobi's closed forms for r_d(n), 1 <= n <= n_max (index 0 unused).
 

@@ -24,6 +24,8 @@ from sphlab import (
 from test_acceptance import grid_oracle_2x2
 
 INF = math.inf
+# relative change below which two per-site norms or dual values tie to rounding
+TIE = 16.0 * np.finfo(float).eps
 
 
 def batched_abs_sum(matrices: np.ndarray) -> np.ndarray:
@@ -109,7 +111,9 @@ def test_commuting_family_closed_form():
         closed = math.sqrt(float(np.sum(np.max(diags**2, axis=0))))
         for tol in (1e-6, 1e-8):
             sol = order_interval_majorant(stack, 2, tol=tol)
-            assert 0 <= sol.value - closed <= tol
+            # value and closed are two roundings of one number, so the exact
+            # lower side 0 is held to 4 ulps of closed
+            assert -4 * math.ulp(closed) <= sol.value - closed <= tol
             assert sol.lower_bound <= closed + 1e-12
 
 
@@ -137,23 +141,44 @@ def _fro_sq(m: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(m) ** 2, axis=(-2, -1))
 
 
-def lapack_solve_p2(xs: np.ndarray, tol: float, max_iter: int):
-    """Accelerated dual projected gradient for every p = 2 fiber problem at once.
+def _psd_part(h: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(h)
+    clipped = vecs * np.maximum(vals, 0.0)[..., np.newaxis, :]
+    return clipped @ np.conj(np.swapaxes(vecs, -1, -2))
+
+
+def _sweep(v: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Gauss-Seidel: each member in turn takes its exact block maximizer."""
+    z = v.copy()
+    a = z.sum(axis=0)
+    for j, y in enumerate(ys):
+        block = _psd_part(z[j] + y - a)
+        a += block - z[j]
+        z[j] = block
+    return z
+
+
+def _fista_step(v: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Jacobi: every member steps by 1/(2K), the inverse Lipschitz constant, at once."""
+    return _psd_part(v + 1.0 / len(ys) * (ys - v.sum(axis=0)))
+
+
+def _lapack_dual_ascent(xs: np.ndarray, tol: float, max_iter: int, ascend):
+    """Accelerated dual ascent for every p = 2 fiber problem at once, on LAPACK ``eigh``.
 
     The fiber problem min ||a||^2 / 2 subject to a >= y_j for y_j = +-x_k
     has the dual max sum_j <Z_j, y_j> - ||sum_j Z_j||^2 / 2 over Z_j >= 0,
-    with primal point a = sum_j Z_j.  The dual gradient y_j - a is
-    2K-Lipschitz, so FISTA (Beck-Teboulle) steps by 1/(2K) and projects
-    each Z_j onto the positive cone by an eigenvalue clip.  Each site
-    carries its own momentum t and restarts it at 1 when the gradient test
-    <V - Z_new, Z_new - Z> > 0 fires at that site (O'Donoghue-Candes).  Any
-    dual value d certifies ||a|| >= sqrt(2 d) at its site, and a shifted by
-    the identity times its worst infeasibility is feasible.  The solve stops
-    when the summed-in-squares best feasible norm and dual bound are within
-    ``tol``.  Returns (majorant, value, lower_bound, converged, iterations).
+    with primal point a = sum_j Z_j.  ``ascend`` maps the extrapolated
+    point V to the next dual iterate.  Each site carries its own momentum t
+    and restarts it at 1 when its dual value falls by more than ``TIE`` or
+    the gradient test <V - Z_new, Z_new - Z> > 0 fires there
+    (O'Donoghue-Candes).  Any dual value d certifies ||a|| >= sqrt(2 d) at
+    its site, and a shifted by the identity times its worst infeasibility is
+    feasible.  The solve stops when the summed-in-squares best feasible norm
+    and dual bound are within ``tol``.  Returns (majorant, value,
+    lower_bound, converged, iterations).
     """
     ys = np.concatenate([xs, -xs])
-    step = 1.0 / len(ys)
     eye = np.eye(xs.shape[-1], dtype=complex)
     # a = 0 repaired is the p = inf closed form, feasible from the start
     best = np.linalg.eigvalsh(ys)[..., -1].max(axis=0)[:, np.newaxis, np.newaxis] * eye
@@ -161,37 +186,48 @@ def lapack_solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     lower_sq = np.zeros(xs.shape[1])
     z = v = np.zeros_like(ys)
     t = np.ones(xs.shape[1])
+    dual_prev = np.zeros(xs.shape[1])
     converged, iters = False, 0
     for iters in range(1, max_iter + 1):
-        vals, vecs = np.linalg.eigh(v + step * (ys - v.sum(axis=0)))
-        clipped = vecs * np.maximum(vals, 0.0)[..., np.newaxis, :]
-        z_new = clipped @ np.conj(np.swapaxes(vecs, -1, -2))
+        z_new = ascend(v, ys)
         a = z_new.sum(axis=0)
         dual = np.sum((np.conj(z_new) * ys).real, axis=(0, 2, 3)) - _fro_sq(a) / 2.0
         lower_sq = np.maximum(lower_sq, 2.0 * dual)
         shift = np.maximum(0.0, -np.linalg.eigvalsh(a - ys)[..., 0].min(axis=0))
         cand = a + shift[:, np.newaxis, np.newaxis] * eye
         cand_sq = _fro_sq(cand)
-        better = cand_sq < best_sq
+        better = cand_sq <= best_sq * (1.0 + TIE)
         best[better], best_sq[better] = cand[better], cand_sq[better]
         if math.sqrt(best_sq.sum()) - math.sqrt(lower_sq.sum()) <= tol:
             converged = True
             break
         moved = z_new - z
-        restart = np.sum((np.conj(v - z_new) * moved).real, axis=(0, 2, 3)) > 0.0
+        gradient_test = np.sum((np.conj(v - z_new) * moved).real, axis=(0, 2, 3)) > 0.0
+        restart = gradient_test | (dual < dual_prev * (1.0 - TIE))
         t_next = np.where(restart, 1.0, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0)
         beta = np.where(restart, 0.0, (t - 1.0) / t_next)
         v = z_new + beta[:, np.newaxis, np.newaxis] * moved
-        z, t = z_new, t_next
+        z, t, dual_prev = z_new, t_next, dual
     return best, math.sqrt(best_sq.sum()), math.sqrt(lower_sq.sum()), converged, iters
 
 
-# Each site keeps its best repaired iterate by a strict norm comparison.  Late
-# iterates differ by about 1e-12, so when two of them tie to rounding the
-# routes may keep neighbouring ones: 7.3e-12 apart at one site of the complex
-# K = 6, 257-site stack below, while its values agree to 7.1e-15.  The site
-# norms do not depend on which tied iterate was kept, so they are held to
-# 1e-12 and the arrays to MAJORANT_ABS.
+def lapack_solve_p2(xs: np.ndarray, tol: float, max_iter: int):
+    """The package's Gauss-Seidel sweep, with every projection by LAPACK ``eigh``."""
+    return _lapack_dual_ascent(xs, tol, max_iter, _sweep)
+
+
+def fista_solve_p2(xs: np.ndarray, tol: float, max_iter: int):
+    """FISTA (Beck-Teboulle) on the same dual: a different algorithm, the same optimum."""
+    return _lapack_dual_ascent(xs, tol, max_iter, _fista_step)
+
+
+# Each site keeps its best repaired iterate, and a later one that ties it to
+# within TIE replaces it.  Near a site's optimum the squared norm is flat to
+# second order, so iterates 1e-8 apart tie to rounding; under a strict
+# comparison the Pauli and LAPACK routes kept different ones, up to 1.6e-8
+# apart on the stacks below, while their values agreed to 4e-15.  Preferring
+# the later tie lands both routes on the same converged iterate, so the site
+# norms are held to 1e-12 and the arrays to MAJORANT_ABS.
 MAJORANT_ABS = 1e-10
 
 
@@ -253,21 +289,51 @@ def test_oracle_catches_conjugated_pauli_coordinates(monkeypatch):
 @pytest.mark.parametrize("n", [2, 4])
 def test_batch_solve_separates_over_sites(n):
     # the fiber problems are independent, so a batch must give each site what
-    # it gets alone; tol 0 runs the full budget on both sides
+    # it gets alone; at tol 0 a single site certifies a gap of 0 after 13 to
+    # 100 sweeps, so a budget of 10 runs in full on both sides
     stack = random_hermitian_stack(4, 16, n, n)
-    batch = order_interval_majorant(stack, 2, tol=0.0, max_iter=80)
-    assert batch.iterations == 80 and not batch.converged
+    batch = order_interval_majorant(stack, 2, tol=0.0, max_iter=10)
+    assert batch.iterations == 10 and not batch.converged
     for s in range(stack.sites):
         alone = order_interval_majorant(
-            HermitianStack(stack.matrices[:, s : s + 1]), 2, tol=0.0, max_iter=80
+            HermitianStack(stack.matrices[:, s : s + 1]), 2, tol=0.0, max_iter=10
         )
+        assert alone.iterations == 10 and not alone.converged
         assert np.abs(alone.majorant[0] - batch.majorant[s]).max() <= MAJORANT_ABS
 
 
-@pytest.mark.parametrize("n,budget", [(4, 150), (8, 200)])
+@pytest.mark.parametrize("n,budget", [(4, 60), (8, 60)])
 def test_p2_iterations_within_guard(n, budget):
+    # the sweep certifies these in 28 and 40 sweeps; FISTA's Jacobi step needed 126 and 173
     sol = order_interval_majorant(random_hermitian_stack(4, 16, n, n), 2, tol=1e-6)
     assert sol.converged and sol.iterations <= budget
+
+
+def test_p2_dual_restart_breaks_a_cycling_fiber():
+    # under the gradient test alone this fiber's dual cycled: 10,000 sweeps left
+    # a gap of 1.3e-4; restarting when the dual value falls certifies 1e-8 in
+    # 145 sweeps (the FISTA oracle: 202)
+    fiber = random_hermitian_stack(3, 4096, 2, 5).matrices[:, 2415:2416]
+    sol = order_interval_majorant(HermitianStack(fiber), 2, tol=1e-8)
+    assert sol.converged and sol.iterations <= 250
+
+
+def test_p2_iterations_within_guard_at_many_sites():
+    # the maximal-survey stack at 2,048 sites: 163 sweeps; FISTA needed 552
+    sol = order_interval_majorant(random_hermitian_stack(3, 2048, 2, 1007), 2, tol=1e-6)
+    assert sol.converged and sol.iterations <= 250
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_sweep_agrees_with_fista_oracle(n):
+    # two algorithms on one dual: each value lies within its own certified gap
+    # of the optimum, so the two lie within the sum of both gaps
+    stack = random_hermitian_stack(3, 24, n, 1700 + n)
+    sol = order_interval_majorant(stack, 2, tol=1e-6)
+    _, value, lower, converged, _ = fista_solve_p2(stack.matrices, 1e-6, 2000)
+    assert sol.converged and converged
+    assert abs(sol.value - value) <= (sol.value - sol.lower_bound) + (value - lower)
+    assert max(sol.lower_bound, lower) <= min(sol.value, value)
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf])
