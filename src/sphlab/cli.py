@@ -253,8 +253,8 @@ def cmd_maximal_survey(args) -> int:
             if gap > args.tol:
                 print(
                     f"# majorant seed {stack_seed} p {p_label}: certified gap {gap!r} "
-                    f"above tol {args.tol!r} after {sol.iterations} iterations "
-                    f"(converged {sol.converged})",
+                    f"above tol {args.tol!r} after {sol.iterations} iterations, "
+                    f"{sol.site_sweeps} site-sweeps (converged {sol.converged})",
                     file=sys.stderr,
                 )
                 failed = True

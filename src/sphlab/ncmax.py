@@ -9,12 +9,15 @@ sweeps on the dual, whose value is a certified lower bound; each site
 keeps its own momentum and restarts it when its dual value falls or the
 gradient test fires, so the independent fibers do not reset one another.
 An identity shift of the dual's primal point gives a feasible upper
-bound, and the solve stops when the two are within tolerance.  At n = 2
-the fibers are held as four real Pauli coordinates, in which the positive
-cone is the Lorentz cone and every eigen step has a closed form; larger
-fibers use batched LAPACK ``eigh``, which the tests keep as the n = 2
-oracle.  The scalar (n = 1) and commuting cases collapse to the pointwise
-supremum and serve as exact oracles.
+bound.  A site whose two bounds meet its share of the tolerance is frozen
+and leaves the batch, and the solve stops when every site is frozen or the
+summed bounds are within tolerance.  At n = 2 the fibers are held as four
+real Pauli coordinates, in which the positive cone is the Lorentz cone and
+every eigen step has a closed form; larger fibers project by batched LAPACK
+``eigh``, which the tests keep as the n = 2 oracle, and take the shift
+from a Weyl bound on the sweep's later moves, with no eigen step.  The
+scalar (n = 1) and commuting cases collapse to the pointwise supremum and
+serve as exact oracles.
 """
 
 from __future__ import annotations
@@ -121,6 +124,7 @@ class MajorantSolution:
     lower_bound: float
     converged: bool
     iterations: int  # dual sweeps at p = 2, 0 at p = inf
+    site_sweeps: int  # (site, sweep) pairs swept at p = 2, 0 at p = inf
 
 
 class _MatrixCone:
@@ -146,9 +150,25 @@ class _MatrixCone:
         return s[..., np.newaxis, np.newaxis]
 
     @staticmethod
+    def take(h: np.ndarray, sites: np.ndarray) -> np.ndarray:
+        return h.take(sites, axis=-3)
+
+    @staticmethod
+    def put(out: np.ndarray, sites: np.ndarray, h: np.ndarray) -> None:
+        out[..., sites, :, :] = h
+
+    @staticmethod
     def extremes(h: np.ndarray):
         vals = np.linalg.eigvalsh(h)
         return vals[..., 0], vals[..., -1]
+
+    def repair(self, a: np.ndarray, ys: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # Block j clips M_j = Z_j + y_j - a, which leaves the running sum with
+        # a - y_j = P+(-M_j) >= 0; the later blocks move it by
+        # R_j = sum_{i>j} (Z_i - V_i), so by Weyl a shift by
+        # max_j ||R_j||_F >= ||R_j||_op is feasible, with no eigen step
+        suffix = np.cumsum((z - v)[:0:-1], axis=0)
+        return np.sqrt(self.sq_norm(suffix).max(axis=0))
 
     @staticmethod
     def project(h: np.ndarray) -> np.ndarray:
@@ -162,7 +182,7 @@ class _MatrixCone:
 
     @staticmethod
     def dot(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.sum((np.conj(z) * y).real, axis=(0, -2, -1))
+        return np.sum(np.sum((np.conj(z) * y).real, axis=0), axis=(-2, -1))
 
 
 class _LorentzCone:
@@ -194,19 +214,33 @@ class _LorentzCone:
         return s
 
     @staticmethod
+    def take(h: np.ndarray, sites: np.ndarray) -> np.ndarray:
+        return h.take(sites, axis=-1)
+
+    @staticmethod
+    def put(out: np.ndarray, sites: np.ndarray, h: np.ndarray) -> None:
+        out[..., sites] = h
+
+    @staticmethod
     def radius(h: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(h[..., 1:, :] ** 2, axis=-2))
+        vec = h[..., 1:, :]
+        return np.sqrt(np.add.reduce(vec * vec, axis=-2))
 
     def extremes(self, h: np.ndarray):
-        radius = self.radius(h)
-        return h[..., 0, :] - radius, h[..., 0, :] + radius
+        h0, radius = h[..., 0, :], self.radius(h)
+        return h0 - radius, h0 + radius
+
+    def repair(self, a: np.ndarray, ys: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # the worst infeasibility over the members, exact in closed form
+        gaps = a - ys
+        return np.maximum(0.0, -(gaps[..., 0, :] - self.radius(gaps)).min(axis=0))
 
     def project(self, h: np.ndarray) -> np.ndarray:
         # clip the eigenvalues h0 +- |h| at 0; |h| = 0 leaves no vector part
-        radius = self.radius(h)
-        up = np.maximum(h[..., 0, :] + radius, 0.0)
-        down = np.maximum(h[..., 0, :] - radius, 0.0)
-        scale = np.divide(up - down, 2.0 * radius, out=np.zeros_like(radius), where=radius > 0)
+        h0, radius = h[..., 0, :], self.radius(h)
+        up = np.maximum(h0 + radius, 0.0)
+        down = np.maximum(h0 - radius, 0.0)
+        scale = np.divide(up - down, 2.0 * radius, out=np.zeros(radius.shape), where=radius > 0)
         out = np.empty_like(h)
         out[..., 0, :] = (up + down) / 2.0
         np.multiply(scale[..., np.newaxis, :], h[..., 1:, :], out=out[..., 1:, :])
@@ -214,11 +248,11 @@ class _LorentzCone:
 
     @staticmethod
     def sq_norm(h: np.ndarray) -> np.ndarray:
-        return 2.0 * np.sum(h * h, axis=-2)
+        return 2.0 * np.add.reduce(h * h, axis=-2)
 
     @staticmethod
     def dot(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return 2.0 * np.sum(z * y, axis=(0, -2))
+        return 2.0 * np.add.reduce(np.add.reduce(z * y, axis=0), axis=-2)
 
 
 def _cone(n: int):
@@ -226,11 +260,15 @@ def _cone(n: int):
 
     Both cones map (..., sites, n, n) matrices to their own layout and back
     (``coords``, ``matrices``) and give, in that layout, the identity
-    ``eye``, a per-site array made broadcastable (``expand``), the lowest
-    and highest eigenvalues (``extremes``), the projection onto the cone
-    (``project``), the squared Frobenius norm of each fiber (``sq_norm``)
-    and the real inner product summed over the leading member axis
-    (``dot``).
+    ``eye``, a per-site array made broadcastable (``expand``), the sites
+    picked out of an array (``take``) or written into one (``put``), the
+    lowest and highest eigenvalues (``extremes``), the projection onto the
+    cone (``project``), the squared Frobenius norm of each fiber
+    (``sq_norm``), the real inner product summed over the leading member
+    axis (``dot``) and the identity shift that makes a sweep's primal point
+    feasible (``repair``).  Every reduction runs in an order that does not
+    depend on the number of sites, so a batch gives each site the bits it
+    gets alone.
     """
     return _LorentzCone() if n == 2 else _MatrixCone(n)
 
@@ -250,23 +288,38 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     <V - Z_new, Z_new - Z> > 0 fires there (O'Donoghue-Candes); the test
     alone let one fiber's dual cycle for 10,000 sweeps.  Any dual value d
     certifies ||a|| >= sqrt(2 d) at its site, and a shifted by the identity
-    times its worst infeasibility is feasible.  The solve stops when the
-    summed-in-squares best feasible norm and dual bound are within ``tol``.
+    times the cone's ``repair`` is feasible.
+
+    A site s whose squared best norm B_s and bound L_s satisfy
+    B_s - L_s <= 2 tol L_s / sqrt(sum B), the sum taken over all sites, is
+    frozen: its best majorant and bound are written out and it leaves the
+    working arrays.  The solve stops when every site is frozen or when the
+    summed-in-squares best norm and bound are within ``tol``.  Every sum B
+    read at a freeze is at least the final sum L, so the frozen sites add
+    at most 2 tol sqrt(sum L) to sum B - sum L, and either stop certifies
+    sqrt(sum B) - sqrt(sum L) <= tol.  At tol 0 a site freezes exactly when
+    its own gap is 0, as it would stop if solved alone.
+
     At n = 2 the iterates are Pauli coordinates and every eigen step is the
     closed form of the Lorentz cone (``_LorentzCone``); larger fibers use
-    batched LAPACK ``eigh`` (``_MatrixCone``).  Returns (majorant, value,
-    lower_bound, converged, sweeps).
+    batched LAPACK ``eigh`` and an eigen-free repair (``_MatrixCone``).
+    Returns (majorant, value, lower_bound, converged, sweeps, site_sweeps).
     """
     cone = _cone(xs.shape[-1])
     ys = cone.coords(np.concatenate([xs, -xs]))
+    sites = xs.shape[1]
     # a = 0 repaired is the p = inf closed form, feasible from the start
     best = cone.expand(cone.extremes(ys)[1].max(axis=0)) * cone.eye
     best_sq = cone.sq_norm(best)
-    lower_sq = np.zeros(xs.shape[1])
+    lower_sq = np.zeros(sites)
     z = v = np.zeros_like(ys)
-    t, dual_prev = np.ones(xs.shape[1]), np.zeros(xs.shape[1])
-    converged, iters = False, 0
+    t, dual_prev = np.ones(sites), np.zeros(sites)
+    live = np.arange(sites)  # the working arrays hold these sites, in this order
+    out = best.copy()  # the best majorant of every site, written when it freezes
+    frozen_sq = frozen_lower = 0.0
+    converged, iters, site_sweeps = False, 0, 0
     for iters in range(1, max_iter + 1):
+        site_sweeps += live.size
         z_new = v.copy()
         a = z_new.sum(axis=0)
         for j, y in enumerate(ys):
@@ -276,24 +329,40 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
         a = z_new.sum(axis=0)  # the certificates read a fresh sum, not the running one
         dual = cone.dot(z_new, ys) - cone.sq_norm(a) / 2.0
         lower_sq = np.maximum(lower_sq, 2.0 * dual)
-        shift = np.maximum(0.0, -cone.extremes(a - ys)[0].min(axis=0))
-        cand = a + cone.expand(shift) * cone.eye
+        cand = a + cone.expand(cone.repair(a, ys, z_new, v)) * cone.eye
         cand_sq = cone.sq_norm(cand)
         # a later iterate that ties to rounding is the more converged one
         better = cand_sq <= best_sq * (1.0 + _TIE)
         best = np.where(cone.expand(better), cand, best)
         best_sq = np.where(better, cand_sq, best_sq)
-        if math.sqrt(best_sq.sum()) - math.sqrt(lower_sq.sum()) <= tol:
-            converged = True
-            break
+        total_sq = frozen_sq + best_sq.sum()
+        gap = math.sqrt(total_sq) - math.sqrt(frozen_lower + lower_sq.sum())
         moved = z_new - z
         restart = (cone.dot(v - z_new, moved) > 0.0) | (dual < dual_prev * (1.0 - _TIE))
         t_next = np.where(restart, 1.0, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0)
         beta = np.where(restart, 0.0, (t - 1.0) / t_next)
         v = z_new + cone.expand(beta) * moved
         z, t, dual_prev = z_new, t_next, dual
-    majorant = cone.matrices(best)
-    return majorant, math.sqrt(best_sq.sum()), math.sqrt(lower_sq.sum()), converged, iters
+        # B - L as (sqrt B - sqrt L)(sqrt B + sqrt L): at tol 0 a site then
+        # freezes exactly when sqrt B <= sqrt L, where it would stop alone
+        root_b, root_l = np.sqrt(best_sq), np.sqrt(lower_sq)
+        spread = (root_b - root_l) * (root_b + root_l)
+        freeze = spread * math.sqrt(total_sq) <= 2.0 * tol * lower_sq
+        if freeze.any():
+            cone.put(out, live, best)  # the sites kept are written again later
+            frozen_sq += best_sq[freeze].sum()
+            frozen_lower += lower_sq[freeze].sum()
+            keep = np.flatnonzero(~freeze)
+            live = live[keep]
+            ys, z, v, best = (cone.take(h, keep) for h in (ys, z, v, best))
+            best_sq, lower_sq, t, dual_prev = (h[keep] for h in (best_sq, lower_sq, t, dual_prev))
+        if live.size == 0 or gap <= tol:
+            converged = True
+            break
+    cone.put(out, live, best)
+    value = math.sqrt(frozen_sq + best_sq.sum())
+    lower = math.sqrt(frozen_lower + lower_sq.sum())
+    return cone.matrices(out), value, lower, converged, iters, site_sweeps
 
 
 def order_interval_majorant(
@@ -305,12 +374,13 @@ def order_interval_majorant(
     eigenvalue at least max_k ||x_k||_op, and that multiple of the identity
     is feasible, so it is the majorant at each site, its value is also the
     lower bound, and no iteration runs; at n = 2, ||x||_op = |h0| + |h| in
-    Pauli coordinates.  At p = 2 all sites are solved in
-    one batch by the dual sweeps of ``_solve_p2``; the site norms
-    are summed in squares, ``value - lower_bound`` is the certified
-    optimality gap, ``tol`` the gap at which it stops and ``max_iter`` its
-    budget of dual sweeps: a NaN or negative ``tol`` or a ``max_iter``
-    below 1 raises ``DomainError``.
+    Pauli coordinates.  At p = 2 all sites are solved in one batch by the
+    dual sweeps of ``_solve_p2``, which freezes each site once it has
+    certified its share of ``tol``; the site norms are summed in squares,
+    ``value - lower_bound`` is the certified optimality gap, ``tol`` the
+    gap at which it stops and ``max_iter`` its budget of dual sweeps, and
+    ``site_sweeps`` counts the (site, sweep) pairs it swept: a NaN or
+    negative ``tol`` or a ``max_iter`` below 1 raises ``DomainError``.
     """
     p = _check_p(p)
     if not tol >= 0.0:
@@ -327,9 +397,9 @@ def order_interval_majorant(
         spread = np.maximum(high, -low).max(axis=0)
         majorant = spread[:, np.newaxis, np.newaxis] * np.eye(stack.fiber, dtype=complex)
         value = float(spread.max(initial=0.0))
-        return MajorantSolution(majorant, value, value, converged=True, iterations=0)
-    majorant, value, lower, converged, iters = _solve_p2(stack.matrices, tol, max_iter)
-    return MajorantSolution(majorant, value, lower, converged=converged, iterations=iters)
+        return MajorantSolution(majorant, value, value, True, iterations=0, site_sweeps=0)
+    majorant, value, lower, converged, iters, site_sweeps = _solve_p2(stack.matrices, tol, max_iter)
+    return MajorantSolution(majorant, value, lower, converged, iters, site_sweeps)
 
 
 def maximal_norm_commutative(f: TorusField, scales: DyadicRange, p) -> float:

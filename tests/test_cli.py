@@ -158,7 +158,7 @@ def test_maximal_survey_gate_and_solver(tmp_path):
 
 
 def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path, capsys):
-    # this stack certifies 1e-12 only after 98 sweeps, so a budget of 50 leaves it unmet
+    # this stack certifies 1e-12 only after 99 sweeps, so a budget of 50 leaves it unmet
     code, text = run(
         ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
          "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4", "--tol", "1e-12",
@@ -168,23 +168,26 @@ def test_maximal_survey_gate_fires_on_unmet_tolerance(tmp_path, capsys):
     assert code == 1
     gaps = [float(line.split(",")[7]) for line in text.splitlines() if line.startswith("majorant,")]
     assert gaps and max(gaps) > 1e-12
-    # the gate names the stack, p, gap, tol and why the solve stopped; p = inf is exact
+    # the gate names the stack, p, gap, tol, the work done and why the solve
+    # stopped; p = inf is exact.  Three of the 4 sites froze after 13, 14 and
+    # 22 sweeps, so 50 sweeps made 99 site-sweeps.
     fired = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# majorant ")]
     assert len(fired) == 1
     assert fired[0] == (
         f"# majorant seed 1007 p 2: certified gap {max(gaps)!r} above tol 1e-12 "
-        "after 50 iterations (converged False)"
+        "after 50 iterations, 99 site-sweeps (converged False)"
     )
 
 
 def test_maximal_survey_max_iter_budget(tmp_path, capsys):
-    # 2,048 sites need 163 sweeps to certify tol 1e-6 on stack seed 1007
+    # 2,048 sites need 182 sweeps to certify tol 1e-6 on stack seed 1007
     argv = ["maximal-survey", "--dims", "2", "--sides", "16", "--scales", "0,1,2", "--trials", "1",
             "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "2048"]
     code, _ = run(argv + ["--max-iter", "100"], tmp_path)
     assert code == 1
     fired = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# majorant ")]
-    assert len(fired) == 1 and fired[0].endswith("after 100 iterations (converged False)")
+    assert len(fired) == 1
+    assert fired[0].endswith("after 100 iterations, 32190 site-sweeps (converged False)")
     code, text = run(argv, tmp_path)
     assert code == 0
     gaps = [float(line.split(",")[7]) for line in text.splitlines() if line.startswith("majorant,")]

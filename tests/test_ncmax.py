@@ -174,9 +174,12 @@ def _lapack_dual_ascent(xs: np.ndarray, tol: float, max_iter: int, ascend):
     the gradient test <V - Z_new, Z_new - Z> > 0 fires there
     (O'Donoghue-Candes).  Any dual value d certifies ||a|| >= sqrt(2 d) at
     its site, and a shifted by the identity times its worst infeasibility is
-    feasible.  The solve stops when the summed-in-squares best feasible norm
-    and dual bound are within ``tol``.  Returns (majorant, value,
-    lower_bound, converged, iterations).
+    feasible.  A site whose squared best norm B and bound L satisfy
+    B - L <= 2 tol L / sqrt(sum B) is frozen: a mask keeps its B and L from
+    changing, while its iterates run on unread.  The solve stops when every
+    site is frozen or the summed-in-squares best feasible norm and dual
+    bound are within ``tol``.  Returns (majorant, value, lower_bound,
+    converged, iterations, site_sweeps).
     """
     ys = np.concatenate([xs, -xs])
     eye = np.eye(xs.shape[-1], dtype=complex)
@@ -187,20 +190,21 @@ def _lapack_dual_ascent(xs: np.ndarray, tol: float, max_iter: int, ascend):
     z = v = np.zeros_like(ys)
     t = np.ones(xs.shape[1])
     dual_prev = np.zeros(xs.shape[1])
-    converged, iters = False, 0
+    live = np.ones(xs.shape[1], dtype=bool)
+    converged, iters, site_sweeps = False, 0, 0
     for iters in range(1, max_iter + 1):
+        site_sweeps += int(live.sum())
         z_new = ascend(v, ys)
         a = z_new.sum(axis=0)
         dual = np.sum((np.conj(z_new) * ys).real, axis=(0, 2, 3)) - _fro_sq(a) / 2.0
-        lower_sq = np.maximum(lower_sq, 2.0 * dual)
+        lower_sq[live] = np.maximum(lower_sq, 2.0 * dual)[live]
         shift = np.maximum(0.0, -np.linalg.eigvalsh(a - ys)[..., 0].min(axis=0))
         cand = a + shift[:, np.newaxis, np.newaxis] * eye
         cand_sq = _fro_sq(cand)
-        better = cand_sq <= best_sq * (1.0 + TIE)
+        better = live & (cand_sq <= best_sq * (1.0 + TIE))
         best[better], best_sq[better] = cand[better], cand_sq[better]
-        if math.sqrt(best_sq.sum()) - math.sqrt(lower_sq.sum()) <= tol:
-            converged = True
-            break
+        total_sq = best_sq.sum()
+        gap = math.sqrt(total_sq) - math.sqrt(lower_sq.sum())
         moved = z_new - z
         gradient_test = np.sum((np.conj(v - z_new) * moved).real, axis=(0, 2, 3)) > 0.0
         restart = gradient_test | (dual < dual_prev * (1.0 - TIE))
@@ -208,7 +212,12 @@ def _lapack_dual_ascent(xs: np.ndarray, tol: float, max_iter: int, ascend):
         beta = np.where(restart, 0.0, (t - 1.0) / t_next)
         v = z_new + beta[:, np.newaxis, np.newaxis] * moved
         z, t, dual_prev = z_new, t_next, dual
-    return best, math.sqrt(best_sq.sum()), math.sqrt(lower_sq.sum()), converged, iters
+        live &= (best_sq - lower_sq) * math.sqrt(total_sq) > 2.0 * tol * lower_sq
+        if not live.any() or gap <= tol:
+            converged = True
+            break
+    value, lower = math.sqrt(best_sq.sum()), math.sqrt(lower_sq.sum())
+    return best, value, lower, converged, iters, site_sweeps
 
 
 def lapack_solve_p2(xs: np.ndarray, tol: float, max_iter: int):
@@ -233,8 +242,8 @@ MAJORANT_ABS = 1e-10
 
 def assert_matches_lapack_oracle(stack: HermitianStack, tol: float = 1e-6) -> None:
     sol = order_interval_majorant(stack, 2, tol=tol)
-    majorant, value, lower, converged, iters = lapack_solve_p2(stack.matrices, tol, 500)
-    assert (sol.iterations, sol.converged) == (iters, converged)
+    majorant, value, lower, converged, iters, site_sweeps = lapack_solve_p2(stack.matrices, tol, 500)
+    assert (sol.iterations, sol.converged, sol.site_sweeps) == (iters, converged, site_sweeps)
     assert abs(sol.value - value) <= 1e-12
     assert abs(sol.lower_bound - lower) <= 1e-12
     assert np.abs(_fro_sq(sol.majorant) - _fro_sq(majorant)).max() <= 1e-12
@@ -276,7 +285,7 @@ def test_pauli_kernel_matches_lapack_oracle_on_degenerate_stacks(name):
 def test_oracle_catches_conjugated_pauli_coordinates(monkeypatch):
     # flipping h2 solves the conjugate family: same optimal value, conjugate majorant
     stack = random_hermitian_stack(3, 32, 2, 1400)
-    majorant, value, _, _, _ = lapack_solve_p2(stack.matrices, 1e-6, 500)
+    majorant, value, *_ = lapack_solve_p2(stack.matrices, 1e-6, 500)
     assert np.abs(order_interval_majorant(stack, 2).majorant - majorant).max() <= MAJORANT_ABS
     coords = ncmax._LorentzCone.coords
     flip = np.array([1.0, 1.0, -1.0, 1.0])[:, np.newaxis]
@@ -289,8 +298,8 @@ def test_oracle_catches_conjugated_pauli_coordinates(monkeypatch):
 @pytest.mark.parametrize("n", [2, 4])
 def test_batch_solve_separates_over_sites(n):
     # the fiber problems are independent, so a batch must give each site what
-    # it gets alone; at tol 0 a single site certifies a gap of 0 after 13 to
-    # 100 sweeps, so a budget of 10 runs in full on both sides
+    # it gets alone; at tol 0 no site of these stacks certifies a gap of 0
+    # within 10 sweeps, so a budget of 10 runs in full on both sides
     stack = random_hermitian_stack(4, 16, n, n)
     batch = order_interval_majorant(stack, 2, tol=0.0, max_iter=10)
     assert batch.iterations == 10 and not batch.converged
@@ -302,9 +311,92 @@ def test_batch_solve_separates_over_sites(n):
         assert np.abs(alone.majorant[0] - batch.majorant[s]).max() <= MAJORANT_ABS
 
 
+@pytest.mark.parametrize(
+    "family,sites,n,seed,budget",
+    [
+        # every site certifies a gap of exactly 0 alone, after 14 to 96 sweeps
+        (4, 16, 2, 2, 100),
+        # under the eigen-free repair few n = 4 sites reach a gap of exactly 0:
+        # here 3 of 8 do, after 82, 120 and 135 sweeps, and the rest run out
+        (2, 8, 4, 22, 150),
+    ],
+)
+def test_frozen_sites_stop_where_they_stop_alone(family, sites, n, seed, budget):
+    # at tol 0 a site freezes exactly when its own gap is 0, so the batch must
+    # sweep each site as often as its lone solve does and keep what it keeps
+    stack = random_hermitian_stack(family, sites, n, seed)
+    batch = order_interval_majorant(stack, 2, tol=0.0, max_iter=budget)
+    lone = [
+        order_interval_majorant(
+            HermitianStack(stack.matrices[:, s : s + 1]), 2, tol=0.0, max_iter=budget
+        )
+        for s in range(sites)
+    ]
+    assert batch.site_sweeps == sum(sol.iterations for sol in lone)
+    assert batch.site_sweeps < sites * batch.iterations  # some sites froze
+    assert batch.converged == all(sol.converged for sol in lone)
+    for s, sol in enumerate(lone):
+        assert np.abs(sol.majorant[0] - batch.majorant[s]).max() <= MAJORANT_ABS
+
+
+def test_batch_stopped_by_freezing_every_site_certifies_tol(monkeypatch):
+    # frozen sites leave the working arrays through the cone's take, so a last
+    # take of no sites shows that the batch stopped because every site froze
+    kept = []
+    take = ncmax._LorentzCone.take
+
+    def spy(h, sites):
+        kept.append(sites.size)
+        return take(h, sites)
+
+    monkeypatch.setattr(ncmax._LorentzCone, "take", staticmethod(spy))
+    sol = order_interval_majorant(random_hermitian_stack(4, 16, 2, 2), 2, tol=1e-6)
+    assert sol.converged and kept and kept[-1] == 0
+    assert 0.0 <= sol.value - sol.lower_bound <= 1e-6
+
+
+def _worst_eigenvalue(stack: HermitianStack, majorant: np.ndarray) -> float:
+    """Lowest eigenvalue of any a +- x_k, relative to the largest entry of the x_k."""
+    xs = stack.matrices
+    scale = max(1.0, float(np.abs(xs).max()))
+    low = min(float(np.linalg.eigvalsh(majorant[np.newaxis] + sign * xs).min()) for sign in (1, -1))
+    return low / scale
+
+
+def _weyl_infeasible_solves() -> list[tuple[int, int, float]]:
+    """(n, max_iter, worst eigenvalue) of every early or converged solve that is not feasible."""
+    bad = []
+    for n in (3, 4, 8):
+        stack = random_hermitian_stack(3, 16, n, 1800 + n)
+        for max_iter in (1, 2, 3, 5, 500):
+            sol = order_interval_majorant(stack, 2, max_iter=max_iter)
+            assert sol.converged or max_iter < 500
+            worst = _worst_eigenvalue(stack, sol.majorant)
+            if worst < -1e-12:
+                bad.append((n, max_iter, worst))
+    return bad
+
+
+def test_weyl_repair_is_feasible_after_any_budget():
+    # the matrix cone's shift max_j ||sum_{i>j} (Z_i - V_i)||_F bounds every
+    # member's infeasibility by Weyl's inequality, with no eigen step
+    assert _weyl_infeasible_solves() == []
+
+
+def test_weyl_feasibility_catches_a_dropped_suffix_term(monkeypatch):
+    def short_repair(self, a, ys, z, v):
+        # every suffix sum without the last member's move
+        suffix = np.cumsum((z - v)[-2:0:-1], axis=0)
+        return np.sqrt(self.sq_norm(suffix).max(axis=0))
+
+    # the converged n = 3 and n = 4 solves then sink to -2e-7 and -2e-9
+    monkeypatch.setattr(ncmax._MatrixCone, "repair", short_repair)
+    assert _weyl_infeasible_solves()
+
+
 @pytest.mark.parametrize("n,budget", [(4, 60), (8, 60)])
 def test_p2_iterations_within_guard(n, budget):
-    # the sweep certifies these in 28 and 40 sweeps; FISTA's Jacobi step needed 126 and 173
+    # the sweep certifies these in 29 and 43 sweeps; FISTA's Jacobi step needed 126 and 173
     sol = order_interval_majorant(random_hermitian_stack(4, 16, n, n), 2, tol=1e-6)
     assert sol.converged and sol.iterations <= budget
 
@@ -319,7 +411,7 @@ def test_p2_dual_restart_breaks_a_cycling_fiber():
 
 
 def test_p2_iterations_within_guard_at_many_sites():
-    # the maximal-survey stack at 2,048 sites: 163 sweeps; FISTA needed 552
+    # the maximal-survey stack at 2,048 sites: 182 sweeps; FISTA needed 552
     sol = order_interval_majorant(random_hermitian_stack(3, 2048, 2, 1007), 2, tol=1e-6)
     assert sol.converged and sol.iterations <= 250
 
@@ -330,7 +422,7 @@ def test_sweep_agrees_with_fista_oracle(n):
     # of the optimum, so the two lie within the sum of both gaps
     stack = random_hermitian_stack(3, 24, n, 1700 + n)
     sol = order_interval_majorant(stack, 2, tol=1e-6)
-    _, value, lower, converged, _ = fista_solve_p2(stack.matrices, 1e-6, 2000)
+    _, value, lower, converged, *_ = fista_solve_p2(stack.matrices, 1e-6, 2000)
     assert sol.converged and converged
     assert abs(sol.value - value) <= (sol.value - sol.lower_bound) + (value - lower)
     assert max(sol.lower_bound, lower) <= min(sol.value, value)
