@@ -3,19 +3,17 @@
 The package evaluates every explicit quantity in the underlying theory:
 exact lattice-sphere counts, torus Fourier symbols and their Gaussian and
 semigroup approximants, quadratic Gauss sums and the arc decomposition of
-the sphere symbol, spatial operators on finite tori, and the order-interval
-maximal norm for Hermitian families.  The ``sphlab`` command drives the
-batch verification surveys.
+the sphere symbol, spherical averages and dyadic maximal functions on
+finite tori, and the order-interval maximal norm for Hermitian families.
+The ``sphlab`` command drives the batch verification surveys.
 """
 
 from .errors import (
     CapExceeded,
     DomainError,
     EmptySphere,
-    IndivisibleSide,
     InfeasibleScale,
     NonHermitianInput,
-    OddSide,
     RangeError,
     RegimeViolation,
     SphlabError,
@@ -23,15 +21,7 @@ from .errors import (
 from .fields import (
     DyadicRange,
     TorusField,
-    apply_multiplier,
-    dft,
-    discrete_laplacian,
     dyadic_maximal,
-    idft,
-    inverse_kernel,
-    periodized_multiplier_apply,
-    sampled_kernel_apply,
-    sign_flip_modulation,
     spherical_average,
 )
 from .gauss import (
@@ -43,7 +33,6 @@ from .gauss import (
     GaussIdentityReport,
     decompose_arcs,
     decomposition_error,
-    eval_cutoff,
     eval_major_arc_term,
     eval_minor_term,
     farey_set,
@@ -65,10 +54,8 @@ from .ncmax import (
     MaximalRatioStats,
     empirical_maximal_ratio,
     lp_norm,
-    maximal_norm_commutative,
     order_interval_majorant,
     random_hermitian_stack,
-    square_function_norm,
 )
 from .symbols import (
     ResidualSurvey,
@@ -80,7 +67,6 @@ from .symbols import (
     eval_semigroup_symbol,
     nearest_lattice,
     periodic_norm,
-    reduce_to_torus,
     residual_survey,
     sphere_multiplier_batch,
 )

@@ -29,13 +29,5 @@ class InfeasibleScale(SphlabError):
     """A cost estimate exceeds the configured computational budget."""
 
 
-class IndivisibleSide(SphlabError):
-    """The sampling modulus q does not divide the torus side L."""
-
-
-class OddSide(SphlabError):
-    """Sign-flip modulation needs an even torus side (the half-shift must be a lattice frequency)."""
-
-
 class NonHermitianInput(SphlabError):
     """A matrix field flagged Hermitian fails the Hermitian check or has a non-finite entry."""

@@ -1,4 +1,4 @@
-"""Spatial-side operators on finite tori (Z_L)^d.
+"""Spherical averages and dyadic maximal functions on finite tori (Z_L)^d.
 
 Fields carry real or complex scalars, or n x n complex matrices, per site.
 Spherical averages are convolutions computed through the real DFT: the
@@ -9,51 +9,29 @@ transforms its field once and shares that half-spectrum across its scales,
 so each scale costs one multiply and one inverse transform; a caller that
 takes the maximum over many fields, such as the sampled ratio survey of
 ``ncmax``, builds each scale's symbol once and passes it down.  Nothing is
-cached between calls.  Multipliers given as symbols act through the
-complex DFT: a symbol maps an (N, d) array of reduced frequencies to N
-values and is called once per grid.  The Laplacian and the sampled-kernel
-convolution act by periodic shifts.  The tests keep the
-one-shift-per-sphere-point average as the spatial oracle for the spectral
-one.  The side L is chosen by callers
-so that 2t < L for every sphere radius exercised, which makes the periodic
-computation agree with the infinite lattice for compactly supported
-inputs; for larger spheres points that coincide mod L keep their
+cached between calls.  The tests keep the one-shift-per-sphere-point
+average as the spatial oracle for the spectral one.  The side L is chosen
+by callers so that 2t < L for every sphere radius exercised, which makes
+the periodic computation agree with the infinite lattice for compactly
+supported inputs; for larger spheres points that coincide mod L keep their
 multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptySphere,
-    IndivisibleSide,
-    InfeasibleScale,
-    NonHermitianInput,
-    OddSide,
-)
+from .errors import DomainError, EmptySphere, InfeasibleScale
 from .lattice import SphereSpec, enumerate_sphere, representation_count
-from .symbols import reduce_to_torus
 
 __all__ = [
     "MAX_SITES",
     "TorusField",
     "DyadicRange",
-    "dft",
-    "idft",
-    "frequency_grid",
-    "apply_multiplier",
     "spherical_average",
-    "discrete_laplacian",
     "dyadic_maximal",
-    "sign_flip_modulation",
-    "periodized_multiplier_apply",
-    "sampled_kernel_apply",
-    "inverse_kernel",
 ]
 
 MAX_SITES = 1 << 26
@@ -109,17 +87,6 @@ class TorusField:
     def matrix(d: int, values: np.ndarray) -> "TorusField":
         return TorusField(d, np.asarray(values, dtype=complex))
 
-    def require_hermitian(self, tol: float = 1e-12) -> None:
-        if not self.is_matrix:
-            if np.abs(self.values.imag).max(initial=0.0) > tol:
-                raise NonHermitianInput("scalar field has non-real values")
-            return
-        swap = np.conj(np.swapaxes(self.values, -1, -2))
-        dev = np.abs(self.values - swap).max(initial=0.0)
-        if dev > tol:
-            raise NonHermitianInput(f"Hermitian deviation {dev:.3e} above {tol:.1e}")
-
-
 @dataclass(frozen=True)
 class DyadicRange:
     """Dyadic scale exponents m; the scales are t = 2^m, so lam = 4^m."""
@@ -142,49 +109,6 @@ class DyadicRange:
             raise DomainError(
                 f"largest sphere diameter {2 * max(self.scales())} does not fit inside side {side}"
             )
-
-
-def dft(f: TorusField) -> TorusField:
-    """f_hat(k) = sum_x f(x) e^(-2 pi i <x, k>/L) over the torus axes."""
-    axes = tuple(range(f.d))
-    return TorusField(f.d, np.fft.fftn(f.values, axes=axes))
-
-
-def idft(f: TorusField) -> TorusField:
-    """Inverse of dft (carries the L^-d normalization)."""
-    axes = tuple(range(f.d))
-    return TorusField(f.d, np.fft.ifftn(f.values, axes=axes))
-
-
-def frequency_grid(d: int, side: int) -> np.ndarray:
-    """Array of shape (side,)*d + (d,): each DFT frequency k/L reduced to [-1/2, 1/2)^d."""
-    axis = reduce_to_torus(np.arange(side) / side)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack(mesh, axis=-1)
-
-
-def _sample_symbol(symbol: Callable[[np.ndarray], np.ndarray], d: int, side: int) -> np.ndarray:
-    """The symbol on every DFT frequency of (Z_side)^d, called once; shape (side,)*d."""
-    values = np.asarray(symbol(frequency_grid(d, side).reshape(-1, d)))
-    if values.shape != (side**d,):
-        raise DomainError(f"symbol returned shape {values.shape}, expected ({side**d},)")
-    return values.reshape((side,) * d)
-
-
-def apply_multiplier(f: TorusField, symbol: Callable[[np.ndarray], np.ndarray]) -> TorusField:
-    """idft(symbol(k/L) * f_hat): the convolution operator attached to a symbol.
-
-    ``symbol`` maps an (N, d) array whose rows are the L^d frequencies k/L,
-    reduced to [-1/2, 1/2)^d, to an (N,) array of values; it is called once,
-    and any other result shape raises ``DomainError``.  For Z^d-periodic
-    symbols this realizes the same operator as the corresponding lattice
-    convolution.
-    """
-    mult = _sample_symbol(symbol, f.d, f.side)
-    if f.is_matrix:
-        mult = mult[..., np.newaxis, np.newaxis]
-    spectrum = dft(f)
-    return idft(TorusField(f.d, mult * spectrum.values))
 
 
 def _sphere_points(spec: SphereSpec) -> list[tuple[int, ...]]:
@@ -285,19 +209,6 @@ def spherical_average(
     return TorusField(f.d, out)
 
 
-def discrete_laplacian(f: TorusField, k: int) -> TorusField:
-    """f/2 - (f(. + e_k) + f(. - e_k))/4 along coordinate k (1-based).
-
-    On the Fourier side this multiplies by sin^2(pi k_j / L).
-    """
-    if not 1 <= k <= f.d:
-        raise DomainError(f"coordinate index must be in 1..{f.d}, got {k}")
-    axis = k - 1
-    up = np.roll(f.values, -1, axis=axis)
-    down = np.roll(f.values, 1, axis=axis)
-    return TorusField(f.d, 0.5 * f.values - 0.25 * (up + down))
-
-
 def dyadic_maximal(
     f: TorusField,
     scales: DyadicRange,
@@ -331,72 +242,3 @@ def dyadic_maximal(
         mag = np.abs(avg.values) if complex_input else np.abs(avg.values, out=avg.values)
         out = mag if out is None else np.maximum(out, mag, out=out)
     return TorusField(f.d, out)
-
-
-def sign_flip_modulation(f: TorusField) -> TorusField:
-    """(-1)^(sum_j x_j) f(x); shifts the spectrum by the half-frequency (L/2) 1."""
-    if f.side % 2:
-        raise OddSide(f"side {f.side} is odd; the half-shift is not a lattice frequency")
-    idx = np.indices(f.values.shape[: f.d]).sum(axis=0)
-    signs = np.where(idx % 2 == 0, 1.0, -1.0)
-    if f.is_matrix:
-        signs = signs[..., np.newaxis, np.newaxis]
-    return TorusField(f.d, signs * f.values)
-
-
-def periodized_multiplier_apply(
-    f: TorusField, q: int, base_symbol: Callable[[np.ndarray], np.ndarray]
-) -> TorusField:
-    """Apply the (1/q)-periodization of a symbol supported in q^-1 Q.
-
-    At each frequency the translated copies have disjoint supports, so the
-    periodized value is the base symbol at xi - [[q xi]]/q.  ``base_symbol``
-    follows the (N, d) -> (N,) contract of ``apply_multiplier``.
-    """
-    if q < 1 or f.side % q:
-        raise IndivisibleSide(f"q = {q} must divide the side {f.side}")
-
-    def periodized(xis: np.ndarray) -> np.ndarray:
-        return base_symbol(xis - np.floor(q * xis + 0.5) / q)
-
-    return apply_multiplier(f, periodized)
-
-
-def sampled_kernel_apply(
-    f: TorusField, q: int, kernel: Callable[[np.ndarray], float]
-) -> TorusField:
-    """Convolve with the kernel that is q^d * kernel on q Z^d and 0 elsewhere.
-
-    Computed spatially by shifting f through the coarse sublattice, so it is
-    an independent route to the periodized multiplier.
-    """
-    if q < 1 or f.side % q:
-        raise IndivisibleSide(f"q = {q} must divide the side {f.side}")
-    coarse = f.side // q
-    axes = tuple(range(f.d))
-    acc = np.zeros_like(f.values)
-    scale = float(q) ** f.d
-    for idx in np.ndindex(*([coarse] * f.d)):
-        shift = tuple(q * i for i in idx)
-        weight = scale * float(kernel(np.asarray(shift, dtype=np.int64)))
-        if weight != 0.0:
-            acc += weight * np.roll(f.values, shift=shift, axis=axes)
-    return TorusField(f.d, acc)
-
-
-def inverse_kernel(
-    d: int, side: int, symbol: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray], float]:
-    """Spatial kernel of a symbol sampled on the (Z_L)^d frequency grid.
-
-    K(y) = L^-d sum_k symbol(k/L) e^(2 pi i <k, y>/L); intended for real
-    symmetric symbols, whose kernels are real.  ``symbol`` maps the (L^d, d)
-    array of reduced frequencies to an (L^d,) array in one call, as in
-    ``apply_multiplier``; any other result shape raises ``DomainError``.
-    """
-    table = np.fft.ifftn(_sample_symbol(symbol, d, side)).real
-
-    def kernel(y: np.ndarray) -> float:
-        return float(table[tuple(np.mod(np.asarray(y, dtype=np.int64), side))])
-
-    return kernel

@@ -31,7 +31,6 @@ __all__ = [
     "verify_gauss_identities",
     "BumpCutoff",
     "THETA_CUTOFF",
-    "eval_cutoff",
     "eval_major_arc_term",
     "eval_minor_term",
     "DecompositionReport",
@@ -168,11 +167,6 @@ class BumpCutoff:
 
 
 THETA_CUTOFF = BumpCutoff(plateau=0.125, support=0.25)
-
-
-def eval_cutoff(cut: BumpCutoff, x) -> float:
-    """Coordinate product of the 1-d bump profile; values in [0, 1]."""
-    return float(np.prod(cut.profile(np.asarray(x, dtype=float).ravel())))
 
 
 def _farey_sorted(n: int) -> tuple[FareyFraction, ...]:

@@ -27,16 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonHermitianInput
-from .fields import DyadicRange, TorusField, _scale_symbols, dyadic_maximal
+from .errors import DomainError, InfeasibleScale, NonHermitianInput
+from .fields import MAX_SITES, DyadicRange, TorusField, _scale_symbols, dyadic_maximal
 
 __all__ = [
     "HermitianStack",
     "MajorantSolution",
     "lp_norm",
     "order_interval_majorant",
-    "maximal_norm_commutative",
-    "square_function_norm",
     "MaximalRatioStats",
     "empirical_maximal_ratio",
     "random_hermitian_stack",
@@ -60,11 +58,11 @@ def lp_norm(f: TorusField, p) -> float:
     largest singular value over all sites.
     """
     p = _check_p(p)
-    if not f.is_matrix:
-        mags = np.abs(f.values)
-        return float(np.sqrt(np.sum(mags**2))) if p == 2.0 else float(mags.max(initial=0.0))
     if p == 2.0:
-        return float(np.sqrt(np.sum(np.abs(f.values) ** 2)))
+        mags = np.abs(f.values)
+        return float(np.sqrt(np.sum(mags**2)))
+    if not f.is_matrix:
+        return float(np.abs(f.values).max(initial=0.0))
     mats = f.values.reshape(-1, f.fiber, f.fiber)
     return float(np.linalg.svd(mats, compute_uv=False).max(initial=0.0))
 
@@ -105,14 +103,6 @@ class HermitianStack:
     @property
     def fiber(self) -> int:
         return self.matrices.shape[-1]
-
-    @staticmethod
-    def from_fields(fields: list[TorusField], tol: float = 1e-12) -> "HermitianStack":
-        if not fields:
-            raise DomainError("need at least one field")
-        n = fields[0].fiber
-        stacked = np.stack([f.values.reshape(-1, n, n) for f in fields])
-        return HermitianStack(stacked, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -402,30 +392,6 @@ def order_interval_majorant(
     return MajorantSolution(majorant, value, lower, converged, iters, site_sweeps)
 
 
-def maximal_norm_commutative(f: TorusField, scales: DyadicRange, p) -> float:
-    """Exact commutative maximal norm: lp_norm of the pointwise dyadic maximum."""
-    return lp_norm(dyadic_maximal(f, scales), p)
-
-
-def square_function_norm(stack: HermitianStack, p) -> float:
-    """max of the column norm ||(sum x_k* x_k)^(1/2)||_p and its row analogue."""
-    p = _check_p(p)
-    m = stack.matrices
-    col = np.einsum("ksab,ksac->sbc", np.conj(m), m)
-    row = np.einsum("ksab,kscb->sac", m, np.conj(m))
-    if p == 2.0:
-        # ||B^(1/2)||_2^2 = sum of traces of B
-        return float(
-            max(
-                math.sqrt(np.trace(col, axis1=-2, axis2=-1).real.sum()),
-                math.sqrt(np.trace(row, axis1=-2, axis2=-1).real.sum()),
-            )
-        )
-    col_top = np.linalg.eigvalsh(col)[:, -1].max(initial=0.0)
-    row_top = np.linalg.eigvalsh(row)[:, -1].max(initial=0.0)
-    return float(math.sqrt(max(col_top, row_top, 0.0)))
-
-
 @dataclass(frozen=True)
 class MaximalRatioStats:
     """Ratios of the dyadic maximal norm to the input norm over random fields."""
@@ -470,7 +436,15 @@ def empirical_maximal_ratio(
 def random_hermitian_stack(
     family: int, sites: int, fiber: int, seed: int, real: bool = False
 ) -> HermitianStack:
-    """Seeded Gaussian Hermitian family, optionally real symmetric."""
+    """Seeded Gaussian Hermitian family, optionally real symmetric.
+
+    A family of more than ``MAX_SITES`` matrix entries raises
+    ``InfeasibleScale`` before any allocation.
+    """
+    if family * sites * fiber**2 > MAX_SITES:
+        raise InfeasibleScale(
+            f"{family} x {sites} fibers of size {fiber} exceed the {MAX_SITES}-entry budget"
+        )
     rng = np.random.Generator(np.random.Philox(seed))
     raw = rng.standard_normal((family, sites, fiber, fiber))
     if not real:

@@ -22,7 +22,6 @@ from .lattice import SphereSpec, representation_count
 __all__ = [
     "periodic_norm",
     "nearest_lattice",
-    "reduce_to_torus",
     "sphere_multiplier_batch",
     "eval_gaussian_approximant",
     "eval_semigroup_symbol",
@@ -39,12 +38,6 @@ def nearest_lattice(x) -> np.ndarray:
     """The integer vector [[x]] with x - [[x]] in the half-open cube [-1/2, 1/2)^d."""
     x = np.asarray(x, dtype=float)
     return np.floor(x + 0.5).astype(np.int64)
-
-
-def reduce_to_torus(x) -> np.ndarray:
-    """x - [[x]], the representative of x in [-1/2, 1/2)^d."""
-    x = np.asarray(x, dtype=float)
-    return x - np.floor(x + 0.5)
 
 
 def periodic_norm(x):

@@ -17,18 +17,11 @@ from sphlab import (
     HermitianStack,
     SphereSpec,
     TorusField,
-    apply_multiplier,
-    dft,
-    discrete_laplacian,
     empirical_maximal_ratio,
-    inverse_kernel,
     order_interval_majorant,
-    periodized_multiplier_apply,
     random_hermitian_stack,
     representation_count,
     residual_survey,
-    sampled_kernel_apply,
-    sign_flip_modulation,
     sphere_counts,
     sphere_multiplier_batch,
     verify_gauss_identities,
@@ -37,6 +30,15 @@ from sphlab.cli import _default_thresholds_path, _load_thresholds, main
 from sphlab.gauss import decomposition_error
 from test_fields import folded_base_symbol, roll_spherical_average
 from test_symbols import direct_sphere_multiplier
+from transference import (
+    apply_multiplier,
+    dft,
+    discrete_laplacian,
+    inverse_kernel,
+    periodized_multiplier_apply,
+    sampled_kernel_apply,
+    sign_flip_modulation,
+)
 
 THRESHOLDS = _load_thresholds(_default_thresholds_path())
 

@@ -234,6 +234,16 @@ def test_maximal_survey_over_site_budget_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_maximal_survey_over_fiber_budget_exit_3(tmp_path, capsys):
+    # 10^15 fiber sites: the stack's entry budget is checked before it is drawn
+    out = tmp_path / "x.csv"
+    argv = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
+            "--seed", "7", "--fiber-trials", "1", "--fiber-sites", str(10**15), "--out", str(out)]
+    assert main(argv) == 3
+    assert "entry budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 BAD_POSITIVE = ["nan", "inf", "-inf", "0", "-1"]
 TOL_ARGV = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
             "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4"]

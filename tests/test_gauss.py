@@ -17,7 +17,6 @@ from sphlab import (
     decompose_arcs,
     decomposition_error,
     eval_continuous_sphere_symbol,
-    eval_cutoff,
     eval_major_arc_term,
     eval_minor_term,
     farey_set,
@@ -126,6 +125,11 @@ def test_gauss_sup_bound_direct():
                 continue
             for x in itertools.product(range(1, q + 1), repeat=2):
                 assert abs(direct_gauss_sum(p, q, x)) <= (2 / q) ** 1 + 1e-12
+
+
+def eval_cutoff(cut: BumpCutoff, x) -> float:
+    """Coordinate product of the 1-d bump profile; values in [0, 1]."""
+    return float(np.prod(cut.profile(np.asarray(x, dtype=float).ravel())))
 
 
 def test_cutoff_shapes():

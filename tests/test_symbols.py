@@ -19,12 +19,12 @@ from sphlab import (
     eval_semigroup_symbol,
     nearest_lattice,
     periodic_norm,
-    reduce_to_torus,
     representation_count,
     residual_survey,
     sphere_multiplier_batch,
 )
 from sphlab.symbols import _BLOCK_ENTRIES, fit_small_scale_constant
+from transference import reduce_to_torus
 
 
 def test_periodic_norm_examples():
