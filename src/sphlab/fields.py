@@ -4,17 +4,24 @@ Fields carry real or complex scalars, or n x n complex matrices, per site.
 Spherical averages are convolutions computed through the real DFT: the
 sphere is symmetric, so the transform of its normalized indicator is real
 and even, and it multiplies the half-spectrum of a real field, or of the
-real and imaginary parts of a complex one.  The dyadic maximal function
-transforms its field once and shares that half-spectrum across its scales,
-so each scale costs one multiply and one inverse transform; a caller that
-takes the maximum over many fields, such as the sampled ratio survey of
-``ncmax``, builds each scale's symbol once and passes it down.  Nothing is
-cached between calls.  The tests keep the one-shift-per-sphere-point
-average as the spatial oracle for the spectral one.  The side L is chosen
-by callers so that 2t < L for every sphere radius exercised, which makes
-the periodic computation agree with the infinite lattice for compactly
-supported inputs; for larger spheres points that coincide mod L keep their
-multiplicity.
+real and imaginary parts of a complex one.  The transforms are
+``numpy.fft``'s: one ``rfft`` over the last torus axis, then complex passes
+over the other torus axes written in place (``out=``), and the mirror of
+that for the inverse, which spares ``rfftn``'s temporary per axis.
+``numpy.fft`` pays a fixed cost per run of adjacent transform lines, so
+the torus axes are kept last (a complex field's (Re, Im) axis and any
+matrix axes move in front of them), and the half-spectra, and the symbols
+a survey shares, hold the last two torus axes swapped in memory.  The
+dyadic maximal function transforms its field once and shares that
+half-spectrum across its scales, so each scale costs one multiply and one
+inverse transform; a caller that takes the maximum over many fields, such
+as the sampled ratio survey of ``ncmax``, builds each scale's symbol once
+and passes it down.  Nothing is cached between calls.  The tests keep the
+one-shift-per-sphere-point average as the spatial oracle for the spectral
+one.  The side L is chosen by callers so that 2t < L for every sphere
+radius exercised, which makes the periodic computation agree with the
+infinite lattice for compactly supported inputs; for larger spheres points
+that coincide mod L keep their multiplicity.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import fft
 
 from .errors import DomainError, EmptySphere, InfeasibleScale
 from .lattice import SphereSpec, enumerate_sphere, representation_count
@@ -127,32 +135,95 @@ def _sphere_symbol(points: list[tuple[int, ...]], d: int, side: int) -> np.ndarr
     is real; its real part is copied out, so the complex transform is not
     kept alive behind a view.
     """
-    from scipy import fft
-
     weights = np.zeros((side,) * d)
     np.add.at(weights, tuple(np.mod(np.asarray(points), side).T), 1.0 / len(points))
-    symbol = np.ascontiguousarray(fft.rfftn(weights).real)
+    symbol = np.ascontiguousarray(_torus_rfft(weights, d).real)
     symbol.flags.writeable = False
     return symbol
+
+
+def _spectral_layout(a: np.ndarray, d: int) -> np.ndarray:
+    """A copy of a with its last two axes swapped in memory, viewed in a's shape.
+
+    ``numpy.fft`` pays a fixed cost for every run of transform lines that
+    lie one step apart in memory.  With the short half axis (side//2 + 1
+    frequencies) innermost, the pass over the torus axis before it pays
+    that cost once per side//2 + 1 lines, which made that pass 2 to 3 times
+    slower than the others at (d, L) = (5, 12); one copy removes it.  A
+    spectrum and a symbol in this layout also multiply without strided
+    reads.
+    """
+    if d < 2:
+        return a
+    return np.ascontiguousarray(np.swapaxes(a, -2, -1)).swapaxes(-2, -1)
+
+
+def _torus_rfft(x: np.ndarray, d: int) -> np.ndarray:
+    """``rfftn`` of x over its last d axes, broadcast over the leading ones.
+
+    One real transform over the last axis allocates the half-spectrum,
+    which is copied into ``_spectral_layout``; the complex passes over the
+    other torus axes then overwrite it in place.
+    """
+    spectrum = _spectral_layout(fft.rfft(x, axis=-1), d)
+    for axis in range(x.ndim - d, x.ndim - 1):
+        fft.fft(spectrum, axis=axis, out=spectrum)
+    return spectrum
+
+
+def _torus_irfft(spectrum: np.ndarray, d: int, side: int) -> np.ndarray:
+    """``irfftn`` over the last d axes with output side ``side``; overwrites ``spectrum``.
+
+    The mirror of ``_torus_rfft``: complex inverse passes in place, a
+    C-order copy (none if the spectrum is C-ordered already), then one real
+    inverse transform over the last axis, whose explicit length keeps odd
+    sides.
+    """
+    for axis in range(spectrum.ndim - d, spectrum.ndim - 1):
+        fft.ifft(spectrum, axis=axis, out=spectrum)
+    return fft.irfft(np.ascontiguousarray(spectrum), n=side, axis=-1)
 
 
 def _scale_symbols(d: int, side: int, scales: DyadicRange) -> tuple[np.ndarray, ...]:
     """The sphere symbol of every radius t = 2^m in the range, in ``scales()`` order.
 
     Built once by a caller that takes the dyadic maximum of many fields on
-    the same torus, and passed to ``dyadic_maximal`` as ``symbols=``.  A
-    torus over the site budget raises ``InfeasibleScale`` before any allocation.
+    the same torus, and passed to ``dyadic_maximal`` as ``symbols=``; each
+    is a read-only copy in ``_spectral_layout``, the layout of the spectra
+    it multiplies.  A torus over the site budget raises ``InfeasibleScale``
+    before any allocation.
     """
     _check_sites(d, side)
-    return tuple(
-        _sphere_symbol(_sphere_points(SphereSpec(d, t * t)), d, side)
+    symbols = tuple(
+        _spectral_layout(_sphere_symbol(_sphere_points(SphereSpec(d, t * t)), d, side), d)
         for t in scales.scales()
     )
+    for symbol in symbols:
+        symbol.flags.writeable = False
+    return symbols
 
 
-def _real_view(f: TorusField) -> np.ndarray:
-    """The values as float64: complex entries gain a trailing (Re, Im) axis."""
-    return f.values[..., np.newaxis].view(np.float64) if np.iscomplexobj(f.values) else f.values
+def _torus_last(f: TorusField) -> np.ndarray:
+    """The values as float64 with the torus axes last.
+
+    A real scalar field is its own array.  Complex entries gain an
+    (Re, Im) axis, which moves to the front with any matrix axes, in one
+    contiguous copy: lines along a torus axis of the float64 view would lie
+    2 or 2 n^2 steps apart and pay ``numpy.fft``'s cost per run of adjacent
+    lines every 2 or 2 n^2 lines.
+    """
+    if not np.iscomplexobj(f.values):
+        return f.values
+    x = f.values[..., np.newaxis].view(np.float64)
+    return np.ascontiguousarray(np.moveaxis(x, range(f.d), range(x.ndim - f.d, x.ndim)))
+
+
+def _torus_first(out: np.ndarray, f: TorusField) -> np.ndarray:
+    """An inverse transform of ``_torus_last(f)`` in f's layout and dtype."""
+    if not np.iscomplexobj(f.values):
+        return out
+    out = np.moveaxis(out, range(out.ndim - f.d, out.ndim), range(f.d))
+    return np.ascontiguousarray(out).view(complex).reshape(f.values.shape)
 
 
 def spherical_average(
@@ -166,14 +237,15 @@ def spherical_average(
 
     Computed as one real convolution on the Fourier side: the real sphere
     symbol multiplies the half-spectrum of f over the torus axes and
-    broadcasts over the trailing axes.  A real scalar field is transformed
+    broadcasts over the other axes.  A real scalar field is transformed
     as it is and its average is real.  A complex or matrix field is
-    transformed through its float64 view, whose trailing axis of length 2
-    holds the real and imaginary parts, and the result is viewed back as
+    transformed through its float64 view, with the axis of length 2 that
+    holds the real and imaginary parts and any matrix axes moved in front
+    of the torus axes (``_torus_last``), and the result is viewed back as
     complex.
 
     ``symbol`` (the half-spectrum symbol of ``spec`` on this torus) and
-    ``spectrum`` (the ``rfftn`` of f's float64 view over the torus axes)
+    ``spectrum`` (the real DFT of ``_torus_last(f)`` over its torus axes)
     let ``dyadic_maximal`` build each symbol once per survey and transform
     each field once; a wrong shape raises ``DomainError``.  Neither is
     written to, so one spectrum serves every scale.  These keywords exist
@@ -181,8 +253,6 @@ def spherical_average(
     they can fold into one private helper once the benchmark's traced
     layers stop counting calls here.
     """
-    from scipy import fft
-
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
     half = (f.side,) * (f.d - 1) + (f.side // 2 + 1,)
@@ -190,23 +260,16 @@ def spherical_average(
         symbol = _sphere_symbol(_sphere_points(spec), f.d, f.side)
     elif symbol.shape != half:
         raise DomainError(f"symbol shape {symbol.shape} is not the half-spectrum shape {half}")
-    axes = tuple(range(f.d))
-    x = _real_view(f)
-    mult = symbol.reshape(symbol.shape + (1,) * (x.ndim - f.d))
     if spectrum is None:
-        spectrum = fft.rfftn(x, axes=axes)
-        spectrum *= mult
-    elif spectrum.shape != half + x.shape[f.d :]:
-        raise DomainError(
-            f"spectrum shape {spectrum.shape} is not {half + x.shape[f.d:]} for this field"
-        )
+        spectrum = _torus_rfft(_torus_last(f), f.d)
+        spectrum *= symbol
     else:
+        lead = f.values.shape[f.d :] + ((2,) if np.iscomplexobj(f.values) else ())
+        if spectrum.shape != lead + half:
+            raise DomainError(f"spectrum shape {spectrum.shape} is not {lead + half} for this field")
         # a fresh product: the shared spectrum serves the other scales
-        spectrum = spectrum * mult
-    out = fft.irfftn(spectrum, s=(f.side,) * f.d, axes=axes, overwrite_x=True)
-    if np.iscomplexobj(f.values):
-        out = out.view(complex).reshape(f.values.shape)
-    return TorusField(f.d, out)
+        spectrum = spectrum * symbol
+    return TorusField(f.d, _torus_first(_torus_irfft(spectrum, f.d, f.side), f))
 
 
 def dyadic_maximal(
@@ -224,8 +287,6 @@ def dyadic_maximal(
     fields builds once; without them they are built here, once per scale.
     A tuple of the wrong length raises ``DomainError``.
     """
-    from scipy import fft
-
     if f.is_matrix:
         raise DomainError("the pointwise maximal function is scalar-only")
     scales.check_side(f.side)
@@ -233,7 +294,7 @@ def dyadic_maximal(
         symbols = _scale_symbols(f.d, f.side, scales)
     elif len(symbols) != len(scales.exponents):
         raise DomainError(f"{len(symbols)} symbols for {len(scales.exponents)} scales")
-    spectrum = fft.rfftn(_real_view(f), axes=tuple(range(f.d)))
+    spectrum = _torus_rfft(_torus_last(f), f.d)
     complex_input = np.iscomplexobj(f.values)
     out = None
     for t, symbol in zip(scales.scales(), symbols):

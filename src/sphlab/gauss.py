@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import fft
 
 from .errors import DomainError, EmptySphere, InfeasibleScale, RangeError
 from .lattice import SphereSpec, representation_count, surface_measure
@@ -83,7 +84,7 @@ def _gauss_table(p: int, q: int) -> np.ndarray:
     arithmetic before the complex exponential, so the phases stay small.
     """
     n = np.arange(q, dtype=np.int64)
-    return np.fft.ifft(np.exp((2j * math.pi / q) * ((n * n * p) % q)))
+    return fft.ifft(np.exp((2j * math.pi / q) * ((n * n * p) % q)))
 
 
 def gauss_sum(p: int, q: int, x) -> complex:

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import DomainError, InfeasibleScale, NonHermitianInput
 from .fields import MAX_SITES, DyadicRange, TorusField, _scale_symbols, dyadic_maximal
@@ -424,7 +425,7 @@ def empirical_maximal_ratio(
         raise DomainError("need at least one trial")
     scales.check_side(side)
     symbols = _scale_symbols(d, side, scales)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = Generator(Philox(seed))
     ratios = []
     for _ in range(trials):
         f = TorusField.scalar(rng.standard_normal((side,) * d))
@@ -445,7 +446,7 @@ def random_hermitian_stack(
         raise InfeasibleScale(
             f"{family} x {sites} fibers of size {fiber} exceed the {MAX_SITES}-entry budget"
         )
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = Generator(Philox(seed))
     raw = rng.standard_normal((family, sites, fiber, fiber))
     if not real:
         raw = raw + 1j * rng.standard_normal((family, sites, fiber, fiber))

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -244,6 +245,16 @@ def test_maximal_survey_over_fiber_budget_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_folded_residual_over_rule_budget_exit_3(tmp_path, capsys):
+    # lambda = 10^20 puts radii near 10^10, where the sphere-measure rule needs ~10^10 cosines each
+    out = tmp_path / "x.csv"
+    argv = ["residual", "--regime", "folded", "--d", "8", "--lambda", str(10**20), "--samples", "5",
+            "--seed", "9", "--out", str(out)]
+    assert main(argv) == 3
+    assert "sphere-measure rule" in capsys.readouterr().err
+    assert not out.exists()
+
+
 BAD_POSITIVE = ["nan", "inf", "-inf", "0", "-1"]
 TOL_ARGV = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
             "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4"]
@@ -362,16 +373,42 @@ def test_missing_thresholds_file_exit_2(tmp_path):
     assert main(argv) == 0
 
 
-def test_cli_import_skips_scipy_integrate_and_optimize():
-    # scipy.fft too: only the spherical average imports it, and most commands never average
+SCIPY_FREE_PROBE = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import sphlab.cli
+loaded = set(sys.modules)
+codes = [sphlab.cli.main(argv) for argv in json.loads(sys.argv[1])]
+from sphlab import order_interval_majorant, random_hermitian_stack
+solution = order_interval_majorant(random_hermitian_stack(3, 4, 2, 5), 2.0)
+late = sorted(m for m in set(sys.modules) - loaded if m == "numpy" or m.startswith("numpy."))
+print(json.dumps({"codes": codes, "converged": bool(solution.converged), "late_numpy": late}))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is blocked, so every command must run on numpy alone; and every numpy
+    # submodule a command uses is imported with sphlab.cli, inside the set-up time
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphlab.__file__)))
-    probe = (
-        "import sys, sphlab.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.fft') if m in sys.modules))"
-    )
+    commands = [
+        ["maximal-survey", "--dims", "2,3", "--sides", "8,8", "--scales", "0,1", "--trials", "1",
+         "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4"],
+        ["residual", "--regime", "folded", "--d", "8", "--lambda", "4", "--samples", "20",
+         "--seed", "9"],
+        ["decompose", "--d", "5", "--lambda", "16", "--nmax", "5", "--samples", "1", "--seed", "1"],
+        ["verify-gauss", "--qmax", "6", "--d", "8"],
+        ["ratio-survey", "--d", "8", "--lambdas", "1,2,3"],
+    ]
+    argvs = [argv + ["--no-banner", "--out", str(tmp_path / f"{i}.csv")] for i, argv in enumerate(commands)]
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report == {"codes": [0] * len(commands), "converged": True, "late_numpy": []}
+    assert all((tmp_path / f"{i}.csv").stat().st_size > 0 for i in range(len(commands)))
 
 
 RESIDUAL_ARGV = ["residual", "--regime", "folded", "--d", "8", "--lambda", "4", "--samples", "5",

@@ -118,13 +118,25 @@ def test_spherical_average_matches_roll_oracle(d, side):
     real = random_real_scalar(d, side, 170 + d)
     matrix = random_hermitian_field(d, side, 2, 160 + d)
     assert real.values.dtype == np.float64
+    fields = [scalar, real, matrix]
+    if (d, side) in ((2, 9), (5, 5)):
+        # strided views, whose float64 views end in (2,) and (n, n, 2) axes: the
+        # in-place FFT passes must not assume a contiguous layout
+        wide = random_scalar(d, 2 * side, 180 + d).values
+        complex_view = TorusField.scalar(wide[(slice(None, side),) * (d - 1) + (slice(None, None, 2),)])
+        # a principal 3 x 3 block of a 4 x 4 Hermitian field is Hermitian
+        block = random_hermitian_field(d, side, 4, 190 + d).values[..., 1:, 1:]
+        matrix_view = TorusField.matrix(d, block)
+        assert not complex_view.values.flags.c_contiguous
+        assert not matrix_view.values.flags.c_contiguous
+        fields += [complex_view, matrix_view]
     for lam in (0, 1, 2, 4, 16):
         spec = SphereSpec(d, lam)
         if d == 1 and lam == 2:
             with pytest.raises(EmptySphere):
                 spherical_average(scalar, spec)
             continue
-        for f in (scalar, real, matrix):
+        for f in fields:
             oracle = roll_spherical_average(f, spec)
             avg = spherical_average(f, spec)
             assert avg.values.dtype == f.values.dtype

@@ -27,6 +27,7 @@ from sphlab import (
     surface_measure,
     verify_gauss_identities,
 )
+from test_symbols import bessel_sphere_symbol
 
 
 def direct_gauss_sum(p: int, q: int, x) -> complex:
@@ -259,8 +260,6 @@ def test_decomposition_budget_guard():
 
 def test_major_arc_independent_reimplementation():
     # dual-path oracle: direct-sum Gauss factor and Bessel-form sphere symbol
-    from scipy.special import gamma, jv
-
     spec = SphereSpec(2, 4)
     count = representation_count(spec)
     for frac, xi in [
@@ -274,9 +273,7 @@ def test_major_arc_independent_reimplementation():
         if radius == 0.0:
             mu_hat = 1.0
         else:
-            mu_hat = gamma(d / 2) * jv(d / 2 - 1, 2 * math.pi * radius) / (math.pi * radius) ** (
-                d / 2 - 1
-            )
+            mu_hat = bessel_sphere_symbol(d, radius)
         oracle = (
             float(lam) ** (d / 2 - 1)
             / (2 * count)

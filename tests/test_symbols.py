@@ -7,6 +7,7 @@ import pytest
 from sphlab import (
     DomainError,
     EmptySphere,
+    InfeasibleScale,
     RegimeViolation,
     ResidualSurvey,
     SphereSpec,
@@ -23,6 +24,7 @@ from sphlab import (
     residual_survey,
     sphere_multiplier_batch,
 )
+from sphlab import symbols
 from sphlab.symbols import _BLOCK_ENTRIES, fit_small_scale_constant
 from transference import reduce_to_torus
 
@@ -272,13 +274,24 @@ def quadrature_sphere_symbol(d: int, radius: float) -> float:
     return num / den
 
 
+def bessel_sphere_symbol(d: int, radius):
+    """Closed-form oracle Gamma(d/2) (pi r)^(1 - d/2) J_(d/2 - 1)(2 pi r), elementwise, for r > 0.
+
+    Grafakos, Classical Fourier Analysis, App. B.4, evaluated by scipy.special.
+    """
+    from scipy.special import gamma, jv
+
+    order = d / 2.0 - 1.0
+    return gamma(d / 2.0) * jv(order, 2.0 * math.pi * radius) / (math.pi * radius) ** order
+
+
 def test_continuous_symbol_bessel_closed_form():
     # the oracle ignores quad's error estimates: at d = 13, 14 and 18 they
     # exceed 1e-10 although the values agree with the closed form to 2e-14
-    for d in range(2, 26):
-        for r in (0.0, 1e-6, 1e-3, 0.7, 2.5, 9.0, 23.0, 39.0):
+    for d in range(2, 30):
+        for r in (0.0, 1e-6, 1e-3, 0.7, 2.5, 9.0, 20.0, 23.0, 39.0, 45.0):
             assert eval_continuous_sphere_symbol(d, r) == pytest.approx(
-                quadrature_sphere_symbol(d, r), abs=1e-12
+                quadrature_sphere_symbol(d, r), abs=1e-13
             )
     assert eval_continuous_sphere_symbol(13, 0.0) == 1.0
     with pytest.raises(DomainError):
@@ -293,9 +306,46 @@ def test_continuous_symbol_batch_matches_quadrature():
         assert values[0, 0] == values[0, 1] == 1.0
         for r, value in zip(radii.ravel(), values.ravel()):
             assert value == pytest.approx(quadrature_sphere_symbol(d, abs(r)), abs=1e-12)
-            assert value == pytest.approx(eval_continuous_sphere_symbol(d, r), rel=1e-14, abs=1e-16)
+            assert value == eval_continuous_sphere_symbol(d, r)
     with pytest.raises(DomainError):
         continuous_sphere_symbol_batch(1, radii)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            continuous_sphere_symbol_batch(3, [0.5, bad])
+
+
+# tiny radii on both sides of the r < 1e-9 cut, then a dense grid up to r = 45
+RULE_RADII = np.concatenate([np.geomspace(1e-12, 1e-2, 11), np.linspace(0.01, 45.0, 3001)])
+
+
+def test_continuous_symbol_rule_matches_bessel_oracle():
+    for d in range(2, 30):
+        values = continuous_sphere_symbol_batch(d, RULE_RADII)
+        assert np.abs(values - bessel_sphere_symbol(d, RULE_RADII)).max() <= 1e-13
+        # one radius alone, or in a batch in another order, gets the same bits
+        scalar = [eval_continuous_sphere_symbol(d, r) for r in RULE_RADII[::50]]
+        assert np.array_equal(values[::50], scalar)
+        order = np.random.Generator(np.random.Philox(d)).permutation(len(RULE_RADII))
+        assert np.array_equal(continuous_sphere_symbol_batch(d, RULE_RADII[order]), values[order])
+
+
+def test_continuous_symbol_rule_over_budget_raises():
+    # the rule keeps about pi r / 2 of its nodes per radius, so r = 1e9 is past 2**28
+    with pytest.raises(InfeasibleScale):
+        continuous_sphere_symbol_batch(8, [1e9])
+    with pytest.raises(InfeasibleScale):
+        continuous_sphere_symbol_batch(8, [1e300])
+    assert abs(continuous_sphere_symbol_batch(8, [1e6])[0]) <= 1.0
+
+
+def test_half_node_rule_fails_the_bessel_oracle(monkeypatch):
+    # negative control: with half the nodes the rule is far off once r >= 20
+    full = symbols._rule_size
+    monkeypatch.setattr(symbols, "_rule_size", lambda d, x: full(d, x) // 2)
+    radii = np.linspace(20.0, 45.0, 101)
+    for d in range(2, 30):
+        error = np.abs(continuous_sphere_symbol_batch(d, radii) - bessel_sphere_symbol(d, radii))
+        assert error.max() > 1e-13
 
 
 def test_continuous_symbol_near_zero_expansion():
@@ -414,7 +464,7 @@ def test_folded_survey_matches_scalar_symbol():
         spec = SphereSpec(d, lam)
         out = residual_survey(spec, "folded", 300, seed=42)
         scalar = [eval_continuous_sphere_symbol(d, spec.radius * periodic_norm(xi)) for xi in out.xis]
-        assert np.abs(out.exact - scalar).max() <= 2e-15
+        assert np.array_equal(out.exact, scalar)
         assert np.array_equal(out.exact, eval_folded_symbol(spec, out.xis))
 
 
