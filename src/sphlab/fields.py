@@ -14,9 +14,16 @@ matrix axes move in front of them), and the half-spectra, and the symbols
 a survey shares, hold the last two torus axes swapped in memory.  The
 dyadic maximal function transforms its field once and shares that
 half-spectrum across its scales, so each scale costs one multiply and one
-inverse transform; a caller that takes the maximum over many fields, such
-as the sampled ratio survey of ``ncmax``, builds each scale's symbol once
-and passes it down.  Nothing is cached between calls.  The tests keep the
+inverse transform.  Every transform writes into a ``_Scratch``: three
+complex half-spectra (the C-ordered rows of the real passes, the field's
+spectrum and one scale's product), the real average, which reuses the
+product's memory, and the running maximum.  A public call builds its own
+scratch and returns an array the caller owns.  A caller that takes the
+maximum over many fields on one torus, such as the sampled ratio survey
+of ``ncmax``, builds one scratch and each scale's symbol once and passes
+them down, so no scale and no field allocates a transform buffer; what it
+reads back lives in the scratch until the next field.  Nothing is cached
+between calls.  The tests keep the
 one-shift-per-sphere-point average as the spatial oracle for the spectral
 one.  The side L is chosen by callers so that 2t < L for every sphere
 radius exercised, which makes the periodic computation agree with the
@@ -26,6 +33,7 @@ that coincide mod L keep their multiplicity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,30 +166,47 @@ def _spectral_layout(a: np.ndarray, d: int) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, -2, -1)).swapaxes(-2, -1)
 
 
-def _torus_rfft(x: np.ndarray, d: int) -> np.ndarray:
+def _spectral_view(buffer: np.ndarray, shape: tuple[int, ...], d: int) -> np.ndarray:
+    """A flat buffer viewed in ``shape``, in ``_spectral_layout``'s memory order."""
+    if d < 2:
+        return buffer.reshape(shape)
+    return buffer.reshape(shape[:-2] + shape[:-3:-1]).swapaxes(-2, -1)
+
+
+def _torus_rfft(
+    x: np.ndarray, d: int, rows: np.ndarray | None = None, spectrum: np.ndarray | None = None
+) -> np.ndarray:
     """``rfftn`` of x over its last d axes, broadcast over the leading ones.
 
-    One real transform over the last axis allocates the half-spectrum,
-    which is copied into ``_spectral_layout``; the complex passes over the
-    other torus axes then overwrite it in place.
+    One real transform over the last axis writes the half-spectrum into
+    ``rows`` (C order), which is copied into ``spectrum`` (in
+    ``_spectral_layout``); the complex passes over the other torus axes
+    then overwrite ``spectrum`` in place, and it is returned.  A buffer
+    left out is allocated.
     """
-    spectrum = _spectral_layout(fft.rfft(x, axis=-1), d)
+    rows = fft.rfft(x, axis=-1, out=rows)
+    if spectrum is None:
+        spectrum = _spectral_view(np.empty(rows.size, dtype=complex), rows.shape, d)
+    np.copyto(spectrum, rows)
     for axis in range(x.ndim - d, x.ndim - 1):
         fft.fft(spectrum, axis=axis, out=spectrum)
     return spectrum
 
 
-def _torus_irfft(spectrum: np.ndarray, d: int, side: int) -> np.ndarray:
+def _torus_irfft(
+    spectrum: np.ndarray, d: int, side: int, rows: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``irfftn`` over the last d axes with output side ``side``; overwrites ``spectrum``.
 
-    The mirror of ``_torus_rfft``: complex inverse passes in place, a
-    C-order copy (none if the spectrum is C-ordered already), then one real
-    inverse transform over the last axis, whose explicit length keeps odd
-    sides.
+    The mirror of ``_torus_rfft``: complex inverse passes in place, a copy
+    into the C-ordered ``rows``, then one real inverse transform over the
+    last axis into ``out`` (allocated if left out), whose explicit length
+    keeps odd sides.
     """
     for axis in range(spectrum.ndim - d, spectrum.ndim - 1):
         fft.ifft(spectrum, axis=axis, out=spectrum)
-    return fft.irfft(np.ascontiguousarray(spectrum), n=side, axis=-1)
+    np.copyto(rows, spectrum)
+    return fft.irfft(rows, n=side, axis=-1, out=out)
 
 
 def _scale_symbols(d: int, side: int, scales: DyadicRange) -> tuple[np.ndarray, ...]:
@@ -226,12 +251,58 @@ def _torus_first(out: np.ndarray, f: TorusField) -> np.ndarray:
     return np.ascontiguousarray(out).view(complex).reshape(f.values.shape)
 
 
+def _lead(f: TorusField) -> tuple[int, ...]:
+    """The shape of the axes that ``_torus_last`` puts in front of f's torus axes."""
+    return f.values.shape[f.d :] + ((2,) if np.iscomplexobj(f.values) else ())
+
+
+class _Scratch:
+    """Transform buffers for fields of one shape on one torus, reused across scales and fields.
+
+    ``lead`` is the shape of the axes in front of the torus axes in
+    ``_torus_last``: () for a real scalar field, (2,) for a complex one.
+    - ``rows``: the half-spectrum in C order, written by each real forward
+      pass and read by each real inverse pass;
+    - ``spectrum``: the field's half-spectrum, in ``_spectral_layout``;
+    - ``product``: one scale's symbol times ``spectrum``, same layout;
+    - ``average``: the real inverse transform, in the first
+      ``prod(lead) L^d`` doubles of ``product``'s memory, which is free
+      once ``product`` has been copied into ``rows``
+      (2 L^(d-1) (L//2 + 1) >= L^d);
+    - ``maximum``: the running dyadic maximum, (L,)*d.
+    Whoever builds a scratch owns it: an array read from it is overwritten
+    by its next use.  A torus over the site budget raises
+    ``InfeasibleScale`` before any allocation.
+    """
+
+    def __init__(self, lead: tuple[int, ...], d: int, side: int) -> None:
+        _check_sites(d, side)
+        half = lead + (side,) * (d - 1) + (side // 2 + 1,)
+        size = math.prod(half)
+        self.rows = np.empty(half, dtype=complex)
+        self.spectrum = _spectral_view(np.empty(size, dtype=complex), half, d)
+        memory = np.empty(size, dtype=complex)
+        self.product = _spectral_view(memory, half, d)
+        torus = lead + (side,) * d
+        self.average = memory.view(np.float64)[: math.prod(torus)].reshape(torus)
+        self.maximum = np.empty((side,) * d)
+
+    @staticmethod
+    def of(f: TorusField) -> "_Scratch":
+        """A scratch for fields shaped like f."""
+        return _Scratch(_lead(f), f.d, f.side)
+
+    def check(self, f: TorusField) -> None:
+        if self.average.shape != _lead(f) + f.values.shape[: f.d]:
+            raise DomainError(f"scratch for {self.average.shape} does not fit a field of shape {f.values.shape}")
+
+
 def spherical_average(
     f: TorusField,
     spec: SphereSpec,
     *,
     symbol: np.ndarray | None = None,
-    spectrum: np.ndarray | None = None,
+    scratch: _Scratch | None = None,
 ) -> TorusField:
     """Mean of f(x - y) over the lattice sphere |y|^2 = lam, with wraparound.
 
@@ -244,14 +315,18 @@ def spherical_average(
     of the torus axes (``_torus_last``), and the result is viewed back as
     complex.
 
-    ``symbol`` (the half-spectrum symbol of ``spec`` on this torus) and
-    ``spectrum`` (the real DFT of ``_torus_last(f)`` over its torus axes)
-    let ``dyadic_maximal`` build each symbol once per survey and transform
-    each field once; a wrong shape raises ``DomainError``.  Neither is
-    written to, so one spectrum serves every scale.  These keywords exist
-    so that ``dyadic_maximal`` keeps calling this function once per scale;
-    they can fold into one private helper once the benchmark's traced
-    layers stop counting calls here.
+    ``symbol`` is the half-spectrum symbol of ``spec`` on this torus, so a
+    caller builds each symbol once; a wrong shape raises ``DomainError``.
+    ``scratch`` is a ``_Scratch`` for f's shape whose ``spectrum`` already
+    holds the transform of ``_torus_last(f)``, as ``dyadic_maximal`` leaves
+    it; a scratch of another shape raises ``DomainError``.  The spectrum is
+    read, never written, so it serves every scale, and a real average is
+    returned in the scratch's own memory, which the scratch's owner reuses
+    for the next scale.  Without a scratch, f is transformed into buffers
+    of this call's own and the returned array is the caller's.  The
+    scratch exists so that ``dyadic_maximal`` keeps calling this function
+    once per scale; it can fold into one private helper once the
+    benchmark's traced layers stop counting calls here.
     """
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
@@ -260,16 +335,16 @@ def spherical_average(
         symbol = _sphere_symbol(_sphere_points(spec), f.d, f.side)
     elif symbol.shape != half:
         raise DomainError(f"symbol shape {symbol.shape} is not the half-spectrum shape {half}")
-    if spectrum is None:
-        spectrum = _torus_rfft(_torus_last(f), f.d)
-        spectrum *= symbol
+    if scratch is None:
+        scratch = _Scratch.of(f)
+        _torus_rfft(_torus_last(f), f.d, scratch.rows, scratch.spectrum)
+        out = None
     else:
-        lead = f.values.shape[f.d :] + ((2,) if np.iscomplexobj(f.values) else ())
-        if spectrum.shape != lead + half:
-            raise DomainError(f"spectrum shape {spectrum.shape} is not {lead + half} for this field")
-        # a fresh product: the shared spectrum serves the other scales
-        spectrum = spectrum * symbol
-    return TorusField(f.d, _torus_first(_torus_irfft(spectrum, f.d, f.side), f))
+        scratch.check(f)
+        out = scratch.average
+    np.multiply(scratch.spectrum, symbol, out=scratch.product)
+    average = _torus_irfft(scratch.product, f.d, f.side, scratch.rows, out)
+    return TorusField(f.d, _torus_first(average, f))
 
 
 def dyadic_maximal(
@@ -277,15 +352,23 @@ def dyadic_maximal(
     scales: DyadicRange,
     *,
     symbols: tuple[np.ndarray, ...] | None = None,
+    scratch: _Scratch | None = None,
 ) -> TorusField:
     """Pointwise max of |average at t| over t = 2^m in the range (scalar fields).
 
-    f is transformed once and its half-spectrum is shared by every scale,
-    each of which costs one multiply and one inverse transform inside
-    ``spherical_average``.  ``symbols`` are the per-scale sphere symbols of
-    ``_scale_symbols(f.d, f.side, scales)``, which a survey over many
-    fields builds once; without them they are built here, once per scale.
-    A tuple of the wrong length raises ``DomainError``.
+    f is transformed once into the scratch's ``spectrum``, which every
+    scale shares; each scale then costs one multiply and one inverse
+    transform inside ``spherical_average``, which is still called once per
+    scale, with f first, because the benchmark's traced layers count those
+    calls.  The maximum is kept in the scratch's ``maximum``, and a real
+    average is taken in place in the scratch's ``average``.  ``symbols``
+    are the per-scale sphere symbols of ``_scale_symbols(f.d, f.side,
+    scales)`` and ``scratch`` a ``_Scratch`` for f's shape, both of which a
+    survey over many fields builds once; a tuple of the wrong length or a
+    scratch of another shape raises ``DomainError``.  Without a scratch
+    the call builds its own and the returned array is the caller's; with
+    one, the returned array is the scratch's ``maximum`` and is overwritten
+    by the scratch's next use.
     """
     if f.is_matrix:
         raise DomainError("the pointwise maximal function is scalar-only")
@@ -294,12 +377,16 @@ def dyadic_maximal(
         symbols = _scale_symbols(f.d, f.side, scales)
     elif len(symbols) != len(scales.exponents):
         raise DomainError(f"{len(symbols)} symbols for {len(scales.exponents)} scales")
-    spectrum = _torus_rfft(_torus_last(f), f.d)
-    complex_input = np.iscomplexobj(f.values)
-    out = None
-    for t, symbol in zip(scales.scales(), symbols):
-        avg = spherical_average(f, SphereSpec(f.d, t * t), symbol=symbol, spectrum=spectrum)
-        # a real average is a fresh array of this call's own, so it is reused in place
-        mag = np.abs(avg.values) if complex_input else np.abs(avg.values, out=avg.values)
-        out = mag if out is None else np.maximum(out, mag, out=out)
-    return TorusField(f.d, out)
+    if scratch is None:
+        scratch = _Scratch.of(f)
+    else:
+        scratch.check(f)
+    _torus_rfft(_torus_last(f), f.d, scratch.rows, scratch.spectrum)
+    for index, (t, symbol) in enumerate(zip(scales.scales(), symbols)):
+        avg = spherical_average(f, SphereSpec(f.d, t * t), symbol=symbol, scratch=scratch).values
+        if index == 0:
+            np.abs(avg, out=scratch.maximum)
+        else:
+            # a real average is the scratch's own and a complex one is fresh, so either is reused
+            np.maximum(scratch.maximum, np.abs(avg, out=avg.real), out=scratch.maximum)
+    return TorusField(f.d, scratch.maximum)

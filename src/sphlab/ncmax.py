@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, InfeasibleScale, NonHermitianInput
-from .fields import MAX_SITES, DyadicRange, TorusField, _scale_symbols, dyadic_maximal
+from .fields import MAX_SITES, DyadicRange, TorusField, _scale_symbols, _Scratch, dyadic_maximal
 
 __all__ = [
     "HermitianStack",
@@ -61,7 +61,7 @@ def lp_norm(f: TorusField, p) -> float:
     p = _check_p(p)
     if p == 2.0:
         mags = np.abs(f.values)
-        return float(np.sqrt(np.sum(mags**2)))
+        return float(np.sqrt(np.sum(np.square(mags, out=mags))))
     if not f.is_matrix:
         return float(np.abs(f.values).max(initial=0.0))
     mats = f.values.reshape(-1, f.fiber, f.fiber)
@@ -418,19 +418,23 @@ def empirical_maximal_ratio(
 ) -> MaximalRatioStats:
     """Sampled L2 ratios ||max_t |avg_t f|||_2 / ||f||_2 over Gaussian fields.
 
-    Each scale's sphere symbol is built once per call and shared by every
-    trial; it lives only as long as the call.
+    Each scale's sphere symbol, one ``_Scratch`` for the torus and one
+    array for the draws are built once per call, after the site-budget
+    check, and shared by every trial; they live only as long as the call.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     scales.check_side(side)
     symbols = _scale_symbols(d, side, scales)
+    scratch = _Scratch((), d, side)
+    draw = np.empty((side,) * d)
     rng = Generator(Philox(seed))
     ratios = []
     for _ in range(trials):
-        f = TorusField.scalar(rng.standard_normal((side,) * d))
+        f = TorusField.scalar(rng.standard_normal(out=draw))
         denom = lp_norm(f, 2)
-        ratios.append(lp_norm(dyadic_maximal(f, scales, symbols=symbols), 2) / denom)
+        maximal = dyadic_maximal(f, scales, symbols=symbols, scratch=scratch)
+        ratios.append(lp_norm(maximal, 2) / denom)
     return MaximalRatioStats(d, side, scales.exponents, trials, seed, tuple(ratios))
 
 

@@ -15,7 +15,7 @@ from sphlab import (
     eval_semigroup_symbol,
     spherical_average,
 )
-from sphlab.fields import _scale_symbols, _sphere_points, _sphere_symbol
+from sphlab.fields import _scale_symbols, _Scratch, _sphere_points, _sphere_symbol
 from test_symbols import direct_sphere_multiplier
 from transference import (
     apply_multiplier,
@@ -296,6 +296,32 @@ def test_dyadic_maximal_matches_per_scale_averages(d, side, complex_storage):
     for _ in range(2):
         assert np.array_equal(dyadic_maximal(f, scales, symbols=symbols).values, shared.values)
     assert np.array_equal(f.values, kept)
+    # one scratch serves field after field, as in the ratio survey, and keeps no state
+    other = TorusField.scalar(-2.0 * f.values[::-1])
+    other_shared = dyadic_maximal(other, scales)
+    scratch = _Scratch.of(f)
+    for g, expected in ((f, shared), (other, other_shared), (f, shared)):
+        assert np.array_equal(dyadic_maximal(g, scales, symbols=symbols, scratch=scratch).values, expected.values)
+    assert np.array_equal(f.values, kept)
+
+
+def test_public_calls_return_arrays_of_their_own():
+    """Without a scratch, each call's result shares memory with nothing a later call writes."""
+    scales = DyadicRange((0, 1, 2))
+    for f, g in (
+        (random_real_scalar(3, 9, 210), random_real_scalar(3, 9, 211)),
+        (random_scalar(3, 9, 212), random_scalar(3, 9, 213)),
+    ):
+        first = dyadic_maximal(f, scales)
+        kept = first.values.copy()
+        second = dyadic_maximal(g, scales)
+        assert not np.shares_memory(first.values, second.values)
+        assert np.array_equal(first.values, kept) and not np.array_equal(second.values, kept)
+        average = spherical_average(f, SphereSpec(3, 4))
+        kept = average.values.copy()
+        later = spherical_average(g, SphereSpec(3, 4))
+        assert not np.shares_memory(average.values, later.values)
+        assert np.array_equal(average.values, kept)
 
 
 def test_sphere_symbol_owns_a_real_copy():
@@ -316,8 +342,12 @@ def test_precomputed_symbol_and_spectrum_shapes_are_checked():
         spherical_average(f, SphereSpec(2, 1), symbol=np.zeros((16, 16)))
     with pytest.raises(DomainError):
         spherical_average(f, SphereSpec(2, 1), symbol=_scale_symbols(2, 8, scales)[0])
-    with pytest.raises(DomainError):
-        spherical_average(f, SphereSpec(2, 1), spectrum=np.zeros((16, 9, 2), dtype=complex))
+    # a scratch holds the spectrum: one for another side or for complex storage does not fit
+    for scratch in (_Scratch((), 2, 8), _Scratch((2,), 2, 16)):
+        with pytest.raises(DomainError):
+            spherical_average(f, SphereSpec(2, 1), scratch=scratch)
+        with pytest.raises(DomainError):
+            dyadic_maximal(f, scales, scratch=scratch)
 
 
 def test_sign_flip_modulation():

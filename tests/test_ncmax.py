@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from sphlab import (
     random_hermitian_stack,
     spherical_average,
 )
+from sphlab.fields import _scale_symbols, _Scratch
 from test_acceptance import grid_oracle_2x2
 
 INF = math.inf
@@ -578,15 +580,53 @@ def test_empirical_maximal_ratio():
     assert multi.ratios == again.ratios
 
 
-@pytest.mark.parametrize("d,side,seed", [(2, 16, 78), (3, 9, 5)])
-def test_empirical_maximal_ratio_matches_per_scale_route(d, side, seed):
-    """Redraw the survey's Philox fields and take the maximum one public average at a time."""
+@pytest.mark.parametrize(
+    "d,side,seed,storage",
+    [
+        pytest.param(2, 16, 78, float, id="2-16-78"),
+        pytest.param(3, 9, 5, float, id="3-9-5"),
+        pytest.param(4, 16, 7, float, id="4-16-7"),
+        pytest.param(5, 12, 7, float, id="5-12-7"),
+        pytest.param(3, 9, 5, complex, id="3-9-5-complex"),
+    ],
+)
+def test_empirical_maximal_ratio_matches_per_scale_route(d, side, seed, storage):
+    """Redraw the survey's Philox fields and take the maximum one public average at a time.
+
+    The complex-storage case runs the survey's loop, one scratch shared by
+    every trial, on the same draws stored as complex numbers.
+    """
     scales = DyadicRange((0, 1, 2))
-    stats = empirical_maximal_ratio(d, side, scales, trials=4, seed=seed)
     rng = np.random.Generator(np.random.Philox(seed))
+    fields = [TorusField.scalar(rng.standard_normal((side,) * d).astype(storage)) for _ in range(4)]
     expected = []
-    for _ in range(4):
-        f = TorusField.scalar(rng.standard_normal((side,) * d))
+    for f in fields:
         mags = [np.abs(spherical_average(f, SphereSpec(d, t * t)).values) for t in scales.scales()]
         expected.append(lp_norm(TorusField(d, np.maximum.reduce(mags)), 2) / lp_norm(f, 2))
-    assert stats.ratios == tuple(expected)
+    if storage is float:
+        ratios = empirical_maximal_ratio(d, side, scales, trials=4, seed=seed).ratios
+    else:
+        symbols, scratch = _scale_symbols(d, side, scales), _Scratch.of(fields[0])
+        ratios = tuple(
+            lp_norm(dyadic_maximal(f, scales, symbols=symbols, scratch=scratch), 2) / lp_norm(f, 2)
+            for f in fields
+        )
+    assert ratios == tuple(expected)
+
+
+def test_empirical_maximal_ratio_peak_memory():
+    """One scratch for every scale and trial: the traced peak stays within 8.5 torus arrays.
+
+    At (5, 12) that is the three scale symbols (1.75 torus arrays of
+    float64), the draw, the scratch (4.5) and one ``lp_norm`` temporary;
+    fresh transform buffers per scale or per trial would add at least one
+    more.
+    """
+    d, side = 5, 12
+    tracemalloc.start()
+    try:
+        empirical_maximal_ratio(d, side, DyadicRange((0, 1, 2)), 4, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * side**d * 8
