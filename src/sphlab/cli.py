@@ -17,6 +17,7 @@ import io
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -59,6 +60,16 @@ def _default_thresholds_path() -> str:
     return str(importlib.resources.files("sphlab").joinpath("data/pilot_thresholds.txt"))
 
 
+def _key_values(lines: Iterable[str]) -> Iterator[tuple[int, str, str, str]]:
+    """(line number, line, key, value), all stripped, of each line not blank or a ``#`` comment."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = (part.strip() for part in line.partition("="))
+        yield lineno, line, key, value
+
+
 def _load_thresholds(path: str) -> dict[str, float]:
     """The ``key = value`` lines of a frozen pilot file, none if it is missing.
 
@@ -71,11 +82,7 @@ def _load_thresholds(path: str) -> dict[str, float]:
     except FileNotFoundError:
         return {}
     out: dict[str, float] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = (part.strip() for part in line.partition("="))
+    for lineno, line, key, value in _key_values(lines):
         try:
             out[key] = float(value)
         except ValueError:
@@ -163,14 +170,15 @@ def cmd_ratio_survey(args) -> int:
     # one count table for every lambda; the ratio is density_ratio's expression
     counts = sphere_counts(args.d, max(args.lambdas))
     exponent = args.d / 2.0 - 1.0
+    sigma = surface_measure(args.d)
+    inv_sigma = 1.0 / sigma
     rows = []
     for lam in args.lambdas:
-        inv_sigma = 1.0 / surface_measure(args.d)
         if counts[lam] == 0:
             rows.append([args.d, lam, "", inv_sigma, "", "empty"])
             continue
         ratio = float(lam) ** exponent / counts[lam]
-        rows.append([args.d, lam, ratio, inv_sigma, ratio * surface_measure(args.d), "ok"])
+        rows.append([args.d, lam, ratio, inv_sigma, ratio * sigma, "ok"])
     _write_csv(args, ["d", "lam", "ratio", "inv_sigma", "ratio_times_sigma", "status"], rows)
     return 0
 
@@ -352,11 +360,7 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     path = argv[idx + 1]
     subcommands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = (part.strip() for part in line.partition("="))
+        for lineno, _, key, value in _key_values(fh):
             flag = "--" + key.replace("_", "-")
             owners = [sub for sub in subcommands if flag in sub._option_string_actions]  # noqa: SLF001
             if not owners or flag == "--help":

@@ -10,8 +10,9 @@ over the other torus axes written in place (``out=``), and the mirror of
 that for the inverse, which spares ``rfftn``'s temporary per axis.
 ``numpy.fft`` pays a fixed cost per run of adjacent transform lines, so
 the torus axes are kept last (a complex field's (Re, Im) axis and any
-matrix axes move in front of them), and the half-spectra, and the symbols
-a survey shares, hold the last two torus axes swapped in memory.  The
+matrix axes move in front of them), and the half-spectra hold the last
+two torus axes swapped in memory; a sphere symbol is its transform's
+real part, copied once straight into that layout.  The
 dyadic maximal function transforms its field once and shares that
 half-spectrum across its scales, so each scale costs one multiply and one
 inverse transform.  Every transform writes into a ``_Scratch``: three
@@ -127,47 +128,38 @@ class DyadicRange:
             )
 
 
-def _sphere_points(spec: SphereSpec) -> list[tuple[int, ...]]:
-    if representation_count(spec) == 0:
-        raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
-    return enumerate_sphere(spec, MAX_SPHERE_POINTS)
-
-
-def _sphere_symbol(points: list[tuple[int, ...]], d: int, side: int) -> np.ndarray:
+def _sphere_symbol(spec: SphereSpec, side: int) -> np.ndarray:
     """Real DFT of the normalized sphere indicator, as a read-only half-spectrum.
 
     The array has the shape of ``rfftn`` over (Z_side)^d: the last torus
     axis keeps frequencies 0..side//2.  Points that coincide mod side
     (possible once 2 sqrt(lam) >= side) add up, so the symbol keeps their
     multiplicity.  The sphere is symmetric under y -> -y, so the transform
-    is real; its real part is copied out, so the complex transform is not
-    kept alive behind a view.
+    is real; its real part is copied out once, in the transform's memory
+    order, so the symbol holds the last two torus axes swapped in memory,
+    as the spectra it multiplies do, and the complex transform is not kept
+    alive behind a view.  An empty sphere raises ``EmptySphere``.
     """
-    weights = np.zeros((side,) * d)
-    np.add.at(weights, tuple(np.mod(np.asarray(points), side).T), 1.0 / len(points))
-    symbol = np.ascontiguousarray(_torus_rfft(weights, d).real)
+    if representation_count(spec) == 0:
+        raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
+    points = enumerate_sphere(spec, MAX_SPHERE_POINTS)
+    weights = np.zeros((side,) * spec.d)
+    np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
+    symbol = _torus_rfft(weights, spec.d).real.copy(order="K")
     symbol.flags.writeable = False
     return symbol
 
 
-def _spectral_layout(a: np.ndarray, d: int) -> np.ndarray:
-    """A copy of a with its last two axes swapped in memory, viewed in a's shape.
+def _spectral_view(buffer: np.ndarray, shape: tuple[int, ...], d: int) -> np.ndarray:
+    """A flat buffer viewed in ``shape`` with its last two axes swapped in memory.
 
     ``numpy.fft`` pays a fixed cost for every run of transform lines that
     lie one step apart in memory.  With the short half axis (side//2 + 1
     frequencies) innermost, the pass over the torus axis before it pays
     that cost once per side//2 + 1 lines, which made that pass 2 to 3 times
-    slower than the others at (d, L) = (5, 12); one copy removes it.  A
-    spectrum and a symbol in this layout also multiply without strided
-    reads.
+    slower than the others at (d, L) = (5, 12); this layout removes it.
+    Spectra and symbols in this layout also multiply without strided reads.
     """
-    if d < 2:
-        return a
-    return np.ascontiguousarray(np.swapaxes(a, -2, -1)).swapaxes(-2, -1)
-
-
-def _spectral_view(buffer: np.ndarray, shape: tuple[int, ...], d: int) -> np.ndarray:
-    """A flat buffer viewed in ``shape``, in ``_spectral_layout``'s memory order."""
     if d < 2:
         return buffer.reshape(shape)
     return buffer.reshape(shape[:-2] + shape[:-3:-1]).swapaxes(-2, -1)
@@ -179,8 +171,8 @@ def _torus_rfft(
     """``rfftn`` of x over its last d axes, broadcast over the leading ones.
 
     One real transform over the last axis writes the half-spectrum into
-    ``rows`` (C order), which is copied into ``spectrum`` (in
-    ``_spectral_layout``); the complex passes over the other torus axes
+    ``rows`` (C order), which is copied into ``spectrum`` (a
+    ``_spectral_view``); the complex passes over the other torus axes
     then overwrite ``spectrum`` in place, and it is returned.  A buffer
     left out is allocated.
     """
@@ -214,18 +206,12 @@ def _scale_symbols(d: int, side: int, scales: DyadicRange) -> tuple[np.ndarray, 
 
     Built once by a caller that takes the dyadic maximum of many fields on
     the same torus, and passed to ``dyadic_maximal`` as ``symbols=``; each
-    is a read-only copy in ``_spectral_layout``, the layout of the spectra
-    it multiplies.  A torus over the site budget raises ``InfeasibleScale``
-    before any allocation.
+    is ``_sphere_symbol``'s read-only copy, already in the layout of the
+    spectra it multiplies.  A torus over the site budget raises
+    ``InfeasibleScale`` before any allocation.
     """
     _check_sites(d, side)
-    symbols = tuple(
-        _spectral_layout(_sphere_symbol(_sphere_points(SphereSpec(d, t * t)), d, side), d)
-        for t in scales.scales()
-    )
-    for symbol in symbols:
-        symbol.flags.writeable = False
-    return symbols
+    return tuple(_sphere_symbol(SphereSpec(d, t * t), side) for t in scales.scales())
 
 
 def _torus_last(f: TorusField) -> np.ndarray:
@@ -263,7 +249,7 @@ class _Scratch:
     ``_torus_last``: () for a real scalar field, (2,) for a complex one.
     - ``rows``: the half-spectrum in C order, written by each real forward
       pass and read by each real inverse pass;
-    - ``spectrum``: the field's half-spectrum, in ``_spectral_layout``;
+    - ``spectrum``: the field's half-spectrum, a ``_spectral_view``;
     - ``product``: one scale's symbol times ``spectrum``, same layout;
     - ``average``: the real inverse transform, in the first
       ``prod(lead) L^d`` doubles of ``product``'s memory, which is free
@@ -332,7 +318,7 @@ def spherical_average(
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
     half = (f.side,) * (f.d - 1) + (f.side // 2 + 1,)
     if symbol is None:
-        symbol = _sphere_symbol(_sphere_points(spec), f.d, f.side)
+        symbol = _sphere_symbol(spec, f.side)
     elif symbol.shape != half:
         raise DomainError(f"symbol shape {symbol.shape} is not the half-spectrum shape {half}")
     if scratch is None:

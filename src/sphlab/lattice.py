@@ -85,42 +85,45 @@ def representation_count(spec: SphereSpec) -> int:
     return sphere_counts(spec.d, spec.lam)[spec.lam]
 
 
-def enumerate_sphere(spec: SphereSpec, cap: int) -> list[tuple[int, ...]]:
-    """All x in Z^d with |x|^2 = lam, in lexicographic order.
+def _ragged_arange(starts, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], ..., starts[i] + counts[i] - 1, concatenated."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(offsets[-1] + counts[-1]) + np.repeat(starts - offsets, counts)
 
-    Raises CapExceeded when the exact count is above ``cap`` (the caller
-    should switch to coefficient extraction instead of enumeration).
+
+def enumerate_sphere(spec: SphereSpec, cap: int) -> np.ndarray:
+    """All x in Z^d with |x|^2 = lam, as an (r_d(lam), d) int64 array in lexicographic order.
+
+    Raises CapExceeded before any allocation when the exact count is above
+    ``cap`` (the caller should switch to coefficient extraction).  Built
+    from the last coordinate up: the points with |y|^2 = m in Z^j are the
+    rows (k, z), k = -isqrt(m)..isqrt(m), z over the shell m - k^2 in
+    Z^(j-1); one layer of array operations per coordinate builds every
+    remainder m that the leading coordinates leave, and no other.
     """
     count = representation_count(spec)
     if count > cap:
         raise CapExceeded(f"sphere holds {count} points, cap is {cap}")
-    out: list[tuple[int, ...]] = []
-    point = [0] * spec.d
-
-    def descend(j: int, rem: int) -> None:
-        if j == spec.d:
-            if rem == 0:
-                out.append(tuple(point))
-            return
-        if j == spec.d - 1:
-            k = math.isqrt(rem)
-            if k * k == rem:
-                if k == 0:
-                    point[j] = 0
-                    out.append(tuple(point))
-                else:
-                    point[j] = -k
-                    out.append(tuple(point))
-                    point[j] = k
-                    out.append(tuple(point))
-            return
-        bound = math.isqrt(rem)
-        for k in range(-bound, bound + 1):
-            point[j] = k
-            descend(j + 1, rem - k * k)
-
-    descend(0, spec.lam)
-    return out
+    # top down: each leading coordinate k pairs a remainder m with m - k^2 one layer
+    # below; float sqrt floors exactly for m < 2^52, past any count table that fits
+    remainders = np.array([spec.lam], dtype=np.int64)
+    layers = []
+    for _ in range(spec.d - 1):
+        width = 2 * np.sqrt(remainders).astype(np.int64) + 1
+        k = _ragged_arange(-(width // 2), width)
+        remainders, child = np.unique(np.repeat(remainders, width) - k * k, return_inverse=True)
+        layers.append((width, k, child))
+    # the last coordinate: -isqrt(m) and isqrt(m) for a positive square m, 0 for m = 0
+    root = np.sqrt(remainders).astype(np.int64)
+    sizes = np.where(root * root == remainders, np.where(remainders == 0, 1, 2), 0)
+    points = (np.repeat(root, sizes) * (2 * _ragged_arange(0, sizes) - 1))[:, np.newaxis]
+    # bottom up: a remainder's shell is its pairs' rows (k, shell of m - k^2), in k order
+    for width, k, child in reversed(layers):
+        counts = sizes[child]
+        rows = points[_ragged_arange((np.cumsum(sizes) - sizes)[child], counts)]
+        points = np.column_stack([np.repeat(k, counts), rows])
+        sizes = np.add.reduceat(counts, np.cumsum(width) - width)
+    return points
 
 
 def surface_measure(d: int) -> float:

@@ -43,6 +43,8 @@ __all__ = [
 
 # relative change below which two per-site norms or dual values tie to rounding
 _TIE = 16.0 * np.finfo(float).eps
+# largest entry of x - x^* that a fiber of a HermitianStack may have
+_HERMITIAN_TOL = 1e-12
 
 
 def _check_p(p) -> float:
@@ -73,12 +75,11 @@ class HermitianStack:
     """An ordered family of Hermitian matrix fields sharing a flat site list.
 
     matrices has shape (K, sites, n, n) with n >= 1, else ``DomainError``;
-    every entry must be finite and each fiber Hermitian to within ``tol``,
-    else ``NonHermitianInput``.
+    every entry must be finite and each fiber Hermitian to within
+    ``_HERMITIAN_TOL`` (1e-12) in every entry, else ``NonHermitianInput``.
     """
 
     matrices: np.ndarray
-    tol: float = 1e-12
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrices, dtype=complex)
@@ -89,8 +90,8 @@ class HermitianStack:
         if not np.isfinite(m).all():
             raise NonHermitianInput("matrix entries must be finite")
         dev = np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max(initial=0.0)
-        if dev > self.tol:
-            raise NonHermitianInput(f"Hermitian deviation {dev:.3e} above {self.tol:.1e}")
+        if dev > _HERMITIAN_TOL:
+            raise NonHermitianInput(f"Hermitian deviation {dev:.3e} above {_HERMITIAN_TOL:.1e}")
         object.__setattr__(self, "matrices", m)
 
     @property
@@ -264,7 +265,7 @@ def _cone(n: int):
     return _LorentzCone() if n == 2 else _MatrixCone(n)
 
 
-def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
+def _solve_p2(xs: np.ndarray, tol: float, max_iter: int) -> MajorantSolution:
     """Accelerated Gauss-Seidel dual sweeps for every p = 2 fiber problem at once.
 
     The fiber problem min ||a||^2 / 2 subject to a >= y_j for y_j = +-x_k
@@ -294,7 +295,6 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     At n = 2 the iterates are Pauli coordinates and every eigen step is the
     closed form of the Lorentz cone (``_LorentzCone``); larger fibers use
     batched LAPACK ``eigh`` and an eigen-free repair (``_MatrixCone``).
-    Returns (majorant, value, lower_bound, converged, sweeps, site_sweeps).
     """
     cone = _cone(xs.shape[-1])
     ys = cone.coords(np.concatenate([xs, -xs]))
@@ -353,7 +353,7 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int):
     cone.put(out, live, best)
     value = math.sqrt(frozen_sq + best_sq.sum())
     lower = math.sqrt(frozen_lower + lower_sq.sum())
-    return cone.matrices(out), value, lower, converged, iters, site_sweeps
+    return MajorantSolution(cone.matrices(out), value, lower, converged, iters, site_sweeps)
 
 
 def order_interval_majorant(
@@ -389,8 +389,7 @@ def order_interval_majorant(
         majorant = spread[:, np.newaxis, np.newaxis] * np.eye(stack.fiber, dtype=complex)
         value = float(spread.max(initial=0.0))
         return MajorantSolution(majorant, value, value, True, iterations=0, site_sweeps=0)
-    majorant, value, lower, converged, iters, site_sweeps = _solve_p2(stack.matrices, tol, max_iter)
-    return MajorantSolution(majorant, value, lower, converged, iters, site_sweeps)
+    return _solve_p2(stack.matrices, tol, max_iter)
 
 
 @dataclass(frozen=True)

@@ -375,7 +375,7 @@ def residual_survey(spec: SphereSpec, regime: str, samples: int, seed: int) -> R
     return ResidualSurvey(points, exact, approx, branch, v_card, residual, bound, trig_sum)
 
 
-def fit_small_scale_constant(survey: ResidualSurvey, kappa_sq: float, tol: float = 1e-4) -> float:
+def fit_small_scale_constant(survey: ResidualSurvey, kappa_sq: float) -> float:
     """Largest c in (0, 1] whose exponential wing dominates wherever it binds.
 
     The small-scale envelope is min{e^(-c kappa^2 S/400), kappa^2 S} with S
@@ -383,6 +383,7 @@ def fit_small_scale_constant(survey: ResidualSurvey, kappa_sq: float, tol: float
     wing and widens the region where it is the smaller side, so domination
     is monotone in c and bisection applies; 0 means not even the flattest
     wing dominates, 1 means the wing never binds or always dominates.
+    The bisection stops once its bracket is narrower than 1e-4.
     """
     trig_sum, residual = survey.trig_sum, survey.residual
 
@@ -395,7 +396,7 @@ def fit_small_scale_constant(survey: ResidualSurvey, kappa_sq: float, tol: float
     if dominated(1.0):
         return 1.0
     low, high = 0.0, 1.0
-    while high - low > tol:
+    while high - low > 1e-4:
         mid = (low + high) / 2.0
         if dominated(mid):
             low = mid

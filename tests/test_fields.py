@@ -12,10 +12,12 @@ from sphlab import (
     TorusField,
     continuous_sphere_symbol_batch,
     dyadic_maximal,
+    enumerate_sphere,
     eval_semigroup_symbol,
     spherical_average,
 )
-from sphlab.fields import _scale_symbols, _Scratch, _sphere_points, _sphere_symbol
+from sphlab import fields
+from sphlab.fields import MAX_SPHERE_POINTS, _scale_symbols, _Scratch, _sphere_symbol
 from test_symbols import direct_sphere_multiplier
 from transference import (
     apply_multiplier,
@@ -49,7 +51,7 @@ def roll_spherical_average(f: TorusField, spec: SphereSpec) -> TorusField:
     """Spatial oracle: the mean of f(x - y) over the sphere, one periodic shift per point."""
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
-    points = _sphere_points(spec)
+    points = enumerate_sphere(spec, MAX_SPHERE_POINTS)
     axes = tuple(range(f.d))
     acc = np.zeros_like(f.values)
     for y in points:
@@ -325,9 +327,34 @@ def test_public_calls_return_arrays_of_their_own():
 
 
 def test_sphere_symbol_owns_a_real_copy():
-    symbol = _sphere_symbol(_sphere_points(SphereSpec(3, 4)), 3, 8)
+    symbol = _sphere_symbol(SphereSpec(3, 4), 8)
     assert symbol.dtype == np.float64 and symbol.shape == (8, 8, 5)
-    assert symbol.flags.c_contiguous and symbol.flags.owndata and not symbol.flags.writeable
+    assert symbol.flags.owndata and not symbol.flags.writeable
+    # the spectra's layout: the last two torus axes swapped in memory
+    assert np.swapaxes(symbol, -2, -1).flags.c_contiguous
+    with pytest.raises(EmptySphere):
+        _sphere_symbol(SphereSpec(3, 7), 8)
+
+
+def test_public_average_builds_the_survey_symbol(monkeypatch):
+    """The symbol a public spherical_average builds is _scale_symbols' one, bit for bit and in its layout."""
+    scales = DyadicRange((0, 1, 2))
+    cases = [(d, side, _scale_symbols(d, side, scales)) for d, side in ((1, 12), (2, 16), (3, 9))]
+    built = []
+
+    def record(spec, side):
+        built.append(_sphere_symbol(spec, side))
+        return built[-1]
+
+    monkeypatch.setattr(fields, "_sphere_symbol", record)
+    for d, side, symbols in cases:
+        f = random_real_scalar(d, side, 220 + d)
+        for t, symbol in zip(scales.scales(), symbols):
+            built.clear()
+            spherical_average(f, SphereSpec(d, t * t))
+            (own,) = built
+            assert own.strides == symbol.strides
+            assert np.array_equal(own.view(np.uint64), symbol.view(np.uint64))
 
 
 def test_precomputed_symbol_and_spectrum_shapes_are_checked():

@@ -125,22 +125,23 @@ def test_lagrange_four_squares():
 
 
 def test_enumeration_examples():
-    assert enumerate_sphere(SphereSpec(1, 4), 10) == [(-2,), (2,)]
-    assert enumerate_sphere(SphereSpec(2, 1), 10) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
-    pts = enumerate_sphere(SphereSpec(3, 2), 100)
-    assert len(pts) == 12
+    pts = enumerate_sphere(SphereSpec(1, 4), 10)
+    assert pts.dtype == np.int64 and pts.tolist() == [[-2], [2]]
+    assert enumerate_sphere(SphereSpec(2, 1), 10).tolist() == [[-1, 0], [0, -1], [0, 1], [1, 0]]
+    assert enumerate_sphere(SphereSpec(3, 2), 100).shape == (12, 3)
 
 
 def test_enumeration_properties():
-    for d in (2, 3, 4):
-        for lam in (0, 1, 5, 9):
-            spec = SphereSpec(d, lam)
-            pts = enumerate_sphere(spec, 10_000)
-            assert len(pts) == representation_count(spec)
-            assert len(set(pts)) == len(pts)
-            assert pts == sorted(pts)
-            for x in pts:
-                assert sum(c * c for c in x) == lam
+    specs = [SphereSpec(d, lam) for d in (1, 2, 3, 4) for lam in (0, 1, 5, 9)] + [SphereSpec(5, 100)]
+    for spec in specs:
+        count = representation_count(spec)
+        # a cap equal to the count enumerates
+        pts = enumerate_sphere(spec, count)
+        assert pts.dtype == np.int64 and pts.shape == (count, spec.d)
+        rows = [tuple(x) for x in pts.tolist()]
+        assert len(set(rows)) == len(rows)
+        assert rows == sorted(rows)
+        assert np.all(np.sum(pts * pts, axis=1) == spec.lam)
 
 
 def test_enumeration_cap():
