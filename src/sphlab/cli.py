@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from .errors import InfeasibleScale, RegimeViolation, SphlabError
-from .gauss import decompose_arcs, verify_gauss_identities
+from .gauss import COEFF_COST_BUDGET, decompose_arcs, verify_gauss_identities
 from .lattice import SphereSpec, sphere_counts, surface_measure
 from .ncmax import empirical_maximal_ratio, order_interval_majorant, random_hermitian_stack
 from .fields import DyadicRange
@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=float, default=1e10)
+    p.add_argument("--budget", type=float, default=COEFF_COST_BUDGET)
 
     p = sub.add_parser("maximal-survey", parents=[common], help="dyadic maximal ratio table")
     p.add_argument("--dims", type=_parse_int_list)

@@ -12,24 +12,25 @@ that for the inverse, which spares ``rfftn``'s temporary per axis.
 the torus axes are kept last (a complex field's (Re, Im) axis and any
 matrix axes move in front of them), and the half-spectra hold the last
 two torus axes swapped in memory; a sphere symbol is its transform's
-real part, copied once straight into that layout.  The
-dyadic maximal function transforms its field once and shares that
-half-spectrum across its scales, so each scale costs one multiply and one
-inverse transform.  Every transform writes into a ``_Scratch``: three
-complex half-spectra (the C-ordered rows of the real passes, the field's
-spectrum and one scale's product), the real average, which reuses the
-product's memory, and the running maximum.  A public call builds its own
-scratch and returns an array the caller owns.  A caller that takes the
-maximum over many fields on one torus, such as the sampled ratio survey
-of ``ncmax``, builds one scratch and each scale's symbol once and passes
-them down, so no scale and no field allocates a transform buffer; what it
-reads back lives in the scratch until the next field.  Nothing is cached
-between calls.  The tests keep the
-one-shift-per-sphere-point average as the spatial oracle for the spectral
-one.  The side L is chosen by callers so that 2t < L for every sphere
-radius exercised, which makes the periodic computation agree with the
-infinite lattice for compactly supported inputs; for larger spheres points
-that coincide mod L keep their multiplicity.
+real part, copied once straight into that layout.  The dyadic maximal
+function transforms its field once and shares that half-spectrum across
+its scales, so each scale costs one multiply and one inverse transform.
+Every transform writes into a ``_Scratch`` for one torus: three complex
+half-spectra (the C-ordered rows of the real passes, the field's spectrum
+and one scale's product), the real average, which reuses the product's
+memory, the running maximum, and the symbol of each sphere it was built
+for, transformed in those buffers before any field uses them.  A public
+call builds its own scratch and returns an array the caller owns.  A
+caller that takes the maximum over many fields on one torus, such as the
+sampled ratio survey of ``ncmax``, builds one scratch and passes it down,
+so no scale and no field allocates a transform buffer or a symbol; what
+it reads back lives in the scratch until the next field.  Nothing is
+cached between calls.  The tests keep the one-shift-per-sphere-point
+average as the spatial oracle for the spectral one.  The side L is chosen
+by callers so that 2t < L for every sphere radius exercised, which makes
+the periodic computation agree with the infinite lattice for compactly
+supported inputs; for larger spheres points that coincide mod L keep
+their multiplicity.
 """
 
 from __future__ import annotations
@@ -128,28 +129,6 @@ class DyadicRange:
             )
 
 
-def _sphere_symbol(spec: SphereSpec, side: int) -> np.ndarray:
-    """Real DFT of the normalized sphere indicator, as a read-only half-spectrum.
-
-    The array has the shape of ``rfftn`` over (Z_side)^d: the last torus
-    axis keeps frequencies 0..side//2.  Points that coincide mod side
-    (possible once 2 sqrt(lam) >= side) add up, so the symbol keeps their
-    multiplicity.  The sphere is symmetric under y -> -y, so the transform
-    is real; its real part is copied out once, in the transform's memory
-    order, so the symbol holds the last two torus axes swapped in memory,
-    as the spectra it multiplies do, and the complex transform is not kept
-    alive behind a view.  An empty sphere raises ``EmptySphere``.
-    """
-    if representation_count(spec) == 0:
-        raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
-    points = enumerate_sphere(spec, MAX_SPHERE_POINTS)
-    weights = np.zeros((side,) * spec.d)
-    np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
-    symbol = _torus_rfft(weights, spec.d).real.copy(order="K")
-    symbol.flags.writeable = False
-    return symbol
-
-
 def _spectral_view(buffer: np.ndarray, shape: tuple[int, ...], d: int) -> np.ndarray:
     """A flat buffer viewed in ``shape`` with its last two axes swapped in memory.
 
@@ -165,20 +144,15 @@ def _spectral_view(buffer: np.ndarray, shape: tuple[int, ...], d: int) -> np.nda
     return buffer.reshape(shape[:-2] + shape[:-3:-1]).swapaxes(-2, -1)
 
 
-def _torus_rfft(
-    x: np.ndarray, d: int, rows: np.ndarray | None = None, spectrum: np.ndarray | None = None
-) -> np.ndarray:
+def _torus_rfft(x: np.ndarray, d: int, rows: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """``rfftn`` of x over its last d axes, broadcast over the leading ones.
 
     One real transform over the last axis writes the half-spectrum into
     ``rows`` (C order), which is copied into ``spectrum`` (a
     ``_spectral_view``); the complex passes over the other torus axes
-    then overwrite ``spectrum`` in place, and it is returned.  A buffer
-    left out is allocated.
+    then overwrite ``spectrum`` in place, and it is returned.
     """
-    rows = fft.rfft(x, axis=-1, out=rows)
-    if spectrum is None:
-        spectrum = _spectral_view(np.empty(rows.size, dtype=complex), rows.shape, d)
+    fft.rfft(x, axis=-1, out=rows)
     np.copyto(spectrum, rows)
     for axis in range(x.ndim - d, x.ndim - 1):
         fft.fft(spectrum, axis=axis, out=spectrum)
@@ -186,32 +160,18 @@ def _torus_rfft(
 
 
 def _torus_irfft(
-    spectrum: np.ndarray, d: int, side: int, rows: np.ndarray, out: np.ndarray | None = None
+    spectrum: np.ndarray, d: int, side: int, rows: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """``irfftn`` over the last d axes with output side ``side``; overwrites ``spectrum``.
 
     The mirror of ``_torus_rfft``: complex inverse passes in place, a copy
     into the C-ordered ``rows``, then one real inverse transform over the
-    last axis into ``out`` (allocated if left out), whose explicit length
-    keeps odd sides.
+    last axis into ``out``, whose explicit length keeps odd sides.
     """
     for axis in range(spectrum.ndim - d, spectrum.ndim - 1):
         fft.ifft(spectrum, axis=axis, out=spectrum)
     np.copyto(rows, spectrum)
     return fft.irfft(rows, n=side, axis=-1, out=out)
-
-
-def _scale_symbols(d: int, side: int, scales: DyadicRange) -> tuple[np.ndarray, ...]:
-    """The sphere symbol of every radius t = 2^m in the range, in ``scales()`` order.
-
-    Built once by a caller that takes the dyadic maximum of many fields on
-    the same torus, and passed to ``dyadic_maximal`` as ``symbols=``; each
-    is ``_sphere_symbol``'s read-only copy, already in the layout of the
-    spectra it multiplies.  A torus over the site budget raises
-    ``InfeasibleScale`` before any allocation.
-    """
-    _check_sites(d, side)
-    return tuple(_sphere_symbol(SphereSpec(d, t * t), side) for t in scales.scales())
 
 
 def _torus_last(f: TorusField) -> np.ndarray:
@@ -243,7 +203,7 @@ def _lead(f: TorusField) -> tuple[int, ...]:
 
 
 class _Scratch:
-    """Transform buffers for fields of one shape on one torus, reused across scales and fields.
+    """Transform buffers and sphere symbols for fields of one shape on one torus.
 
     ``lead`` is the shape of the axes in front of the torus axes in
     ``_torus_last``: () for a real scalar field, (2,) for a complex one.
@@ -255,13 +215,16 @@ class _Scratch:
       ``prod(lead) L^d`` doubles of ``product``'s memory, which is free
       once ``product`` has been copied into ``rows``
       (2 L^(d-1) (L//2 + 1) >= L^d);
-    - ``maximum``: the running dyadic maximum, (L,)*d.
+    - ``maximum``: the running dyadic maximum, (L,)*d;
+    - ``symbols``: the read-only sphere symbol of each squared radius in
+      ``lams``, keyed by it (``_sphere_symbol``).
     Whoever builds a scratch owns it: an array read from it is overwritten
     by its next use.  A torus over the site budget raises
-    ``InfeasibleScale`` before any allocation.
+    ``InfeasibleScale`` before any allocation, and an empty sphere raises
+    ``EmptySphere``.
     """
 
-    def __init__(self, lead: tuple[int, ...], d: int, side: int) -> None:
+    def __init__(self, lead: tuple[int, ...], d: int, side: int, lams: tuple[int, ...]) -> None:
         _check_sites(d, side)
         half = lead + (side,) * (d - 1) + (side // 2 + 1,)
         size = math.prod(half)
@@ -272,23 +235,45 @@ class _Scratch:
         torus = lead + (side,) * d
         self.average = memory.view(np.float64)[: math.prod(torus)].reshape(torus)
         self.maximum = np.empty((side,) * d)
+        self.symbols = {lam: self._sphere_symbol(SphereSpec(d, lam)) for lam in lams}
 
-    @staticmethod
-    def of(f: TorusField) -> "_Scratch":
-        """A scratch for fields shaped like f."""
-        return _Scratch(_lead(f), f.d, f.side)
+    def _sphere_symbol(self, spec: SphereSpec) -> np.ndarray:
+        """Real DFT of the normalized sphere indicator, as a read-only half-spectrum.
 
-    def check(self, f: TorusField) -> None:
+        The array has the shape of ``rfftn`` over (Z_side)^d: the last torus
+        axis keeps frequencies 0..side//2.  Points that coincide mod side
+        (possible once 2 sqrt(lam) >= side) add up, so the symbol keeps
+        their multiplicity.  It is built in the scratch's own memory,
+        which no field has used yet: the weights grid in ``maximum``, its
+        transform in the leading slices of ``rows`` and ``spectrum``.  The
+        sphere is symmetric under y -> -y, so the transform is real; its
+        real part is copied out once, in the transform's memory order, so
+        the symbol holds the last two torus axes swapped in memory, as the
+        spectra it multiplies do.  That copy is the only new array.
+        """
+        if representation_count(spec) == 0:
+            raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
+        points = enumerate_sphere(spec, MAX_SPHERE_POINTS)
+        weights = self.maximum
+        weights.fill(0.0)
+        np.add.at(weights, tuple(np.mod(points, weights.shape[0]).T), 1.0 / len(points))
+        first = (0,) * (self.rows.ndim - spec.d)
+        spectrum = _torus_rfft(weights, spec.d, self.rows[first], self.spectrum[first])
+        symbol = spectrum.real.copy(order="K")
+        symbol.flags.writeable = False
+        return symbol
+
+    def check(self, f: TorusField, lams: tuple[int, ...]) -> None:
+        """Raise ``DomainError`` unless f fits the buffers and every sphere in ``lams`` is held."""
         if self.average.shape != _lead(f) + f.values.shape[: f.d]:
             raise DomainError(f"scratch for {self.average.shape} does not fit a field of shape {f.values.shape}")
+        missing = [lam for lam in lams if lam not in self.symbols]
+        if missing:
+            raise DomainError(f"scratch holds no sphere symbol for lam in {missing}")
 
 
 def spherical_average(
-    f: TorusField,
-    spec: SphereSpec,
-    *,
-    symbol: np.ndarray | None = None,
-    scratch: _Scratch | None = None,
+    f: TorusField, spec: SphereSpec, *, scratch: _Scratch | None = None
 ) -> TorusField:
     """Mean of f(x - y) over the lattice sphere |y|^2 = lam, with wraparound.
 
@@ -301,44 +286,33 @@ def spherical_average(
     of the torus axes (``_torus_last``), and the result is viewed back as
     complex.
 
-    ``symbol`` is the half-spectrum symbol of ``spec`` on this torus, so a
-    caller builds each symbol once; a wrong shape raises ``DomainError``.
-    ``scratch`` is a ``_Scratch`` for f's shape whose ``spectrum`` already
-    holds the transform of ``_torus_last(f)``, as ``dyadic_maximal`` leaves
-    it; a scratch of another shape raises ``DomainError``.  The spectrum is
-    read, never written, so it serves every scale, and a real average is
-    returned in the scratch's own memory, which the scratch's owner reuses
-    for the next scale.  Without a scratch, f is transformed into buffers
-    of this call's own and the returned array is the caller's.  The
-    scratch exists so that ``dyadic_maximal`` keeps calling this function
+    ``scratch`` is a ``_Scratch`` for f's shape that holds the symbol of
+    ``spec`` and whose ``spectrum`` already holds the transform of
+    ``_torus_last(f)``, as ``dyadic_maximal`` leaves it; a scratch of
+    another shape or without that sphere raises ``DomainError``.  The
+    spectrum is read, never written, so it serves every scale, and a real
+    average is returned in the scratch's own memory, which the scratch's
+    owner reuses for the next scale.  Without a scratch, the call builds
+    one for f and ``spec`` and transforms f into it; nothing else holds
+    that scratch, so the returned array is the caller's.  The scratch
+    keyword exists so that ``dyadic_maximal`` keeps calling this function
     once per scale; it can fold into one private helper once the
     benchmark's traced layers stop counting calls here.
     """
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
-    half = (f.side,) * (f.d - 1) + (f.side // 2 + 1,)
-    if symbol is None:
-        symbol = _sphere_symbol(spec, f.side)
-    elif symbol.shape != half:
-        raise DomainError(f"symbol shape {symbol.shape} is not the half-spectrum shape {half}")
     if scratch is None:
-        scratch = _Scratch.of(f)
+        scratch = _Scratch(_lead(f), f.d, f.side, (spec.lam,))
         _torus_rfft(_torus_last(f), f.d, scratch.rows, scratch.spectrum)
-        out = None
     else:
-        scratch.check(f)
-        out = scratch.average
-    np.multiply(scratch.spectrum, symbol, out=scratch.product)
-    average = _torus_irfft(scratch.product, f.d, f.side, scratch.rows, out)
+        scratch.check(f, (spec.lam,))
+    np.multiply(scratch.spectrum, scratch.symbols[spec.lam], out=scratch.product)
+    average = _torus_irfft(scratch.product, f.d, f.side, scratch.rows, scratch.average)
     return TorusField(f.d, _torus_first(average, f))
 
 
 def dyadic_maximal(
-    f: TorusField,
-    scales: DyadicRange,
-    *,
-    symbols: tuple[np.ndarray, ...] | None = None,
-    scratch: _Scratch | None = None,
+    f: TorusField, scales: DyadicRange, *, scratch: _Scratch | None = None
 ) -> TorusField:
     """Pointwise max of |average at t| over t = 2^m in the range (scalar fields).
 
@@ -347,29 +321,25 @@ def dyadic_maximal(
     transform inside ``spherical_average``, which is still called once per
     scale, with f first, because the benchmark's traced layers count those
     calls.  The maximum is kept in the scratch's ``maximum``, and a real
-    average is taken in place in the scratch's ``average``.  ``symbols``
-    are the per-scale sphere symbols of ``_scale_symbols(f.d, f.side,
-    scales)`` and ``scratch`` a ``_Scratch`` for f's shape, both of which a
-    survey over many fields builds once; a tuple of the wrong length or a
-    scratch of another shape raises ``DomainError``.  Without a scratch
-    the call builds its own and the returned array is the caller's; with
-    one, the returned array is the scratch's ``maximum`` and is overwritten
-    by the scratch's next use.
+    average is taken in place in the scratch's ``average``.  ``scratch``
+    is a ``_Scratch`` for f's shape holding the symbol of every lam = t^2
+    in the range, which a survey over many fields builds once; a scratch
+    of another shape or without one of those spheres raises
+    ``DomainError``.  Without a scratch the call builds its own and the
+    returned array is the caller's; with one, the returned array is the
+    scratch's ``maximum`` and is overwritten by the scratch's next use.
     """
     if f.is_matrix:
         raise DomainError("the pointwise maximal function is scalar-only")
     scales.check_side(f.side)
-    if symbols is None:
-        symbols = _scale_symbols(f.d, f.side, scales)
-    elif len(symbols) != len(scales.exponents):
-        raise DomainError(f"{len(symbols)} symbols for {len(scales.exponents)} scales")
+    lams = tuple(t * t for t in scales.scales())
     if scratch is None:
-        scratch = _Scratch.of(f)
+        scratch = _Scratch(_lead(f), f.d, f.side, lams)
     else:
-        scratch.check(f)
+        scratch.check(f, lams)
     _torus_rfft(_torus_last(f), f.d, scratch.rows, scratch.spectrum)
-    for index, (t, symbol) in enumerate(zip(scales.scales(), symbols)):
-        avg = spherical_average(f, SphereSpec(f.d, t * t), symbol=symbol, scratch=scratch).values
+    for index, lam in enumerate(lams):
+        avg = spherical_average(f, SphereSpec(f.d, lam), scratch=scratch).values
         if index == 0:
             np.abs(avg, out=scratch.maximum)
         else:

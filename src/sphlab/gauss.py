@@ -309,7 +309,10 @@ def decompose_arcs(
     extraction over all of them, and every arc term is evaluated once for
     all cutoffs.  The error term is defined by the difference, so
     major + minor + error = symbol identically; the recorded envelope is
-    d^(3d/4) / lam^(d/4 - 1).
+    d^(3d/4) / lam^(d/4 - 1).  The arcs and the envelope come before the
+    extraction, so a cutoff out of range, or an envelope that overflows a
+    float (d^(3d/4) does from d = 182 on; ``InfeasibleScale``), stops the
+    call before it pays for the extraction.
     """
     if spec.d < 2:
         raise DomainError("decomposition needs d >= 2")
@@ -320,9 +323,14 @@ def decompose_arcs(
         )
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     cutoffs = tuple(int(n) for n in cutoffs)
-    symbol = sphere_multiplier_batch(spec, xis)
     major, minor = _cutoff_sums(spec, xis, cutoffs)
-    bound = float(spec.d) ** (0.75 * spec.d) / float(spec.lam) ** (spec.d / 4.0 - 1.0)
+    try:
+        bound = float(spec.d) ** (0.75 * spec.d) / float(spec.lam) ** (spec.d / 4.0 - 1.0)
+    except OverflowError:
+        raise InfeasibleScale(
+            f"the envelope d^(3d/4) / lam^(d/4 - 1) overflows a float at d = {spec.d}, lam = {spec.lam}"
+        ) from None
+    symbol = sphere_multiplier_batch(spec, xis)
     return ArcDecomposition(
         spec=spec,
         cutoffs=cutoffs,

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, EmptySphere
+from .errors import CapExceeded, DomainError, EmptySphere, InfeasibleScale
 
 __all__ = [
     "SphereSpec",
@@ -66,17 +66,18 @@ def theta_coefficients(lam: int) -> list[int]:
 def sphere_counts(d: int, lam_max: int) -> tuple[int, ...]:
     """r_d(m) for m = 0..lam_max, exact.
 
-    Built by slice-adding the truncated theta polynomial into the (d-1)-table
-    on exact Python-int (``object``) arrays; lower dimensions are cached too.
+    Built one dimension at a time by slice-adding the truncated theta
+    polynomial into the previous dimension's table, on exact Python-int
+    (``object``) arrays; only the requested (d, lam_max) table is cached.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    if d == 1:
-        return tuple(theta_coefficients(lam_max))
-    prev = np.array(sphere_counts(d - 1, lam_max), dtype=object)
-    out = prev.copy()  # k = 0 term
-    for k in range(1, math.isqrt(lam_max) + 1):
-        out[k * k :] += 2 * prev[: lam_max + 1 - k * k]
+    out = np.array(theta_coefficients(lam_max), dtype=object)
+    for _ in range(d - 1):
+        prev = out
+        out = prev.copy()  # k = 0 term
+        for k in range(1, math.isqrt(lam_max) + 1):
+            out[k * k :] += 2 * prev[: lam_max + 1 - k * k]
     return tuple(out.tolist())
 
 
@@ -127,10 +128,17 @@ def enumerate_sphere(spec: SphereSpec, cap: int) -> np.ndarray:
 
 
 def surface_measure(d: int) -> float:
-    """Surface measure of the unit sphere in R^d: 2 pi^(d/2) / Gamma(d/2)."""
+    """Surface measure of the unit sphere in R^d: 2 pi^(d/2) / Gamma(d/2).
+
+    Gamma(d/2) overflows a float from d = 344 on, which raises
+    ``InfeasibleScale``.
+    """
     if d < 2:
         raise DomainError(f"surface measure needs d >= 2, got {d}")
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    try:
+        return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+    except OverflowError:
+        raise InfeasibleScale(f"the surface measure of the unit sphere in R^{d} overflows a float") from None
 
 
 def density_ratio(spec: SphereSpec) -> float:

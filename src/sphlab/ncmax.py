@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, InfeasibleScale, NonHermitianInput
-from .fields import MAX_SITES, DyadicRange, TorusField, _scale_symbols, _Scratch, dyadic_maximal
+from .fields import MAX_SITES, DyadicRange, TorusField, _Scratch, dyadic_maximal
 
 __all__ = [
     "HermitianStack",
@@ -417,22 +417,22 @@ def empirical_maximal_ratio(
 ) -> MaximalRatioStats:
     """Sampled L2 ratios ||max_t |avg_t f|||_2 / ||f||_2 over Gaussian fields.
 
-    Each scale's sphere symbol, one ``_Scratch`` for the torus and one
-    array for the draws are built once per call, after the site-budget
-    check, and shared by every trial; they live only as long as the call.
+    One ``_Scratch`` for the torus, which holds each scale's sphere
+    symbol, and one array for the draws are built once per call, after
+    the site-budget check, and shared by every trial; they live only as
+    long as the call.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     scales.check_side(side)
-    symbols = _scale_symbols(d, side, scales)
-    scratch = _Scratch((), d, side)
+    scratch = _Scratch((), d, side, tuple(t * t for t in scales.scales()))
     draw = np.empty((side,) * d)
     rng = Generator(Philox(seed))
     ratios = []
     for _ in range(trials):
         f = TorusField.scalar(rng.standard_normal(out=draw))
         denom = lp_norm(f, 2)
-        maximal = dyadic_maximal(f, scales, symbols=symbols, scratch=scratch)
+        maximal = dyadic_maximal(f, scales, scratch=scratch)
         ratios.append(lp_norm(maximal, 2) / denom)
     return MaximalRatioStats(d, side, scales.exponents, trials, seed, tuple(ratios))
 

@@ -255,6 +255,33 @@ def test_folded_residual_over_rule_budget_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv,quantity",
+    [
+        (["ratio-survey", "--d", "400", "--lambdas", "1"], "surface measure"),
+        (["decompose", "--d", "400", "--lambda", "4", "--nmax", "2", "--samples", "1", "--seed", "1"],
+         "surface measure"),
+        (["decompose", "--d", "190", "--lambda", "4", "--nmax", "2", "--samples", "1", "--seed", "1"],
+         "envelope"),
+    ],
+)
+def test_float_overflow_exits_3(tmp_path, capsys, argv, quantity):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible scale:") and quantity in err
+    assert not out.exists()
+
+
+def test_small_residual_in_2000_dimensions(tmp_path):
+    # the count table is built in a loop over d, not one recursion level per dimension
+    code, text = run(
+        ["residual", "--regime", "small", "--d", "2000", "--lambda", "1", "--samples", "1", "--seed", "1"],
+        tmp_path,
+    )
+    assert code == 0 and text.splitlines()[0] == "xi_hash,v_card,branch,residual,bound,ratio"
+
+
 BAD_POSITIVE = ["nan", "inf", "-inf", "0", "-1"]
 TOL_ARGV = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
             "--seed", "7", "--fiber-trials", "1", "--fiber-sites", "4"]

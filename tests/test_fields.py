@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ from sphlab import (
     eval_semigroup_symbol,
     spherical_average,
 )
-from sphlab import fields
-from sphlab.fields import MAX_SPHERE_POINTS, _scale_symbols, _Scratch, _sphere_symbol
+from sphlab.fields import MAX_SPHERE_POINTS, _Scratch
 from test_symbols import direct_sphere_multiplier
 from transference import (
     apply_multiplier,
@@ -293,17 +293,13 @@ def test_dyadic_maximal_matches_per_scale_averages(d, side, complex_storage):
     shared = dyadic_maximal(f, scales)
     assert shared.values.dtype == np.float64
     assert np.array_equal(shared.values, per_scale_maximal(f, scales))
-    # the shared spectrum and the passed symbols are read, never written
-    symbols = _scale_symbols(d, side, scales)
-    for _ in range(2):
-        assert np.array_equal(dyadic_maximal(f, scales, symbols=symbols).values, shared.values)
-    assert np.array_equal(f.values, kept)
-    # one scratch serves field after field, as in the ratio survey, and keeps no state
+    # one scratch serves field after field, as in the ratio survey, and keeps no state;
+    # the shared spectrum and the scratch's symbols are read, never written
     other = TorusField.scalar(-2.0 * f.values[::-1])
     other_shared = dyadic_maximal(other, scales)
-    scratch = _Scratch.of(f)
+    scratch = _Scratch((2,) if complex_storage else (), d, side, (1, 4, 16))
     for g, expected in ((f, shared), (other, other_shared), (f, shared)):
-        assert np.array_equal(dyadic_maximal(g, scales, symbols=symbols, scratch=scratch).values, expected.values)
+        assert np.array_equal(dyadic_maximal(g, scales, scratch=scratch).values, expected.values)
     assert np.array_equal(f.values, kept)
 
 
@@ -327,54 +323,73 @@ def test_public_calls_return_arrays_of_their_own():
 
 
 def test_sphere_symbol_owns_a_real_copy():
-    symbol = _sphere_symbol(SphereSpec(3, 4), 8)
+    scratch = _Scratch((), 3, 8, (4,))
+    symbol = scratch.symbols[4]
     assert symbol.dtype == np.float64 and symbol.shape == (8, 8, 5)
     assert symbol.flags.owndata and not symbol.flags.writeable
     # the spectra's layout: the last two torus axes swapped in memory
     assert np.swapaxes(symbol, -2, -1).flags.c_contiguous
+    buffers = (scratch.rows, scratch.spectrum, scratch.product, scratch.maximum)
+    assert not any(np.shares_memory(symbol, buffer) for buffer in buffers)
     with pytest.raises(EmptySphere):
-        _sphere_symbol(SphereSpec(3, 7), 8)
+        _Scratch((), 3, 8, (4, 7))
 
 
-def test_public_average_builds_the_survey_symbol(monkeypatch):
-    """The symbol a public spherical_average builds is _scale_symbols' one, bit for bit and in its layout."""
-    scales = DyadicRange((0, 1, 2))
-    cases = [(d, side, _scale_symbols(d, side, scales)) for d, side in ((1, 12), (2, 16), (3, 9))]
-    built = []
+@pytest.mark.parametrize("lead", [(2,), (2, 2, 2)], ids=["complex", "matrix"])
+@pytest.mark.parametrize("d,side", [(1, 12), (2, 16), (3, 9), (2, 11)])
+def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
+    """A scratch with leading axes builds each symbol through rows[first] and spectrum[first].
 
-    def record(spec, side):
-        built.append(_sphere_symbol(spec, side))
-        return built[-1]
+    Its symbols equal a real field's scratch's bit for bit, in the same
+    strides, and match ``numpy.fft.rfftn`` of the normalized indicator.
+    """
+    lams = (1, 4, 16)
+    real = _Scratch((), d, side, lams)
+    other = _Scratch(lead, d, side, lams)
+    for lam in lams:
+        symbol, own = real.symbols[lam], other.symbols[lam]
+        assert own.strides == symbol.strides
+        assert np.array_equal(own.view(np.uint64), symbol.view(np.uint64))
+        points = enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)
+        weights = np.zeros((side,) * d)
+        np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
+        assert np.abs(symbol - np.fft.rfftn(weights).real).max() <= 1e-15
 
-    monkeypatch.setattr(fields, "_sphere_symbol", record)
-    for d, side, symbols in cases:
-        f = random_real_scalar(d, side, 220 + d)
-        for t, symbol in zip(scales.scales(), symbols):
-            built.clear()
-            spherical_average(f, SphereSpec(d, t * t))
-            (own,) = built
-            assert own.strides == symbol.strides
-            assert np.array_equal(own.view(np.uint64), symbol.view(np.uint64))
 
-
-def test_precomputed_symbol_and_spectrum_shapes_are_checked():
+def test_scratch_shape_and_spheres_are_checked():
     f = random_real_scalar(2, 16, 190)
     scales = DyadicRange((0, 1))
-    symbols = _scale_symbols(2, 16, scales)
-    with pytest.raises(DomainError):
-        dyadic_maximal(f, scales, symbols=symbols[:1])
-    with pytest.raises(DomainError):
-        dyadic_maximal(f, scales, symbols=symbols + symbols[:1])
-    with pytest.raises(DomainError):
-        spherical_average(f, SphereSpec(2, 1), symbol=np.zeros((16, 16)))
-    with pytest.raises(DomainError):
-        spherical_average(f, SphereSpec(2, 1), symbol=_scale_symbols(2, 8, scales)[0])
     # a scratch holds the spectrum: one for another side or for complex storage does not fit
-    for scratch in (_Scratch((), 2, 8), _Scratch((2,), 2, 16)):
+    for scratch in (_Scratch((), 2, 8, (1, 4)), _Scratch((2,), 2, 16, (1, 4))):
         with pytest.raises(DomainError):
             spherical_average(f, SphereSpec(2, 1), scratch=scratch)
         with pytest.raises(DomainError):
             dyadic_maximal(f, scales, scratch=scratch)
+    # a scratch without a requested sphere raises DomainError, not KeyError
+    scratch = _Scratch((), 2, 16, (1,))
+    with pytest.raises(DomainError, match="no sphere symbol"):
+        spherical_average(f, SphereSpec(2, 4), scratch=scratch)
+    with pytest.raises(DomainError, match="no sphere symbol"):
+        dyadic_maximal(f, scales, scratch=scratch)
+
+
+def test_public_spherical_average_peak_memory():
+    """A public average builds its symbol in its own scratch: the traced peak stays within 5.5 torus arrays.
+
+    At (5, 12) that is the scratch (rows, spectrum and product, 1.17
+    torus arrays of float64 each, and the maximum) and the symbol's real
+    copy (0.58); transforming the symbol in buffers of its own would add
+    at least one more.
+    """
+    d, side = 5, 12
+    f = random_real_scalar(d, side, 230)
+    tracemalloc.start()
+    try:
+        spherical_average(f, SphereSpec(d, 16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * side**d * 8
 
 
 def test_sign_flip_modulation():

@@ -258,6 +258,20 @@ def test_decomposition_budget_guard():
         decomposition_error(SphereSpec(2, 10**6), 1, np.zeros(2), budget=1e9)
 
 
+def test_decomposition_envelope_overflow_stops_before_the_extraction(monkeypatch):
+    # d^(3d/4) is finite at d = 181 and overflows a float from 182 on
+    finite = decompose_arcs(SphereSpec(181, 4), np.zeros((1, 181)), (1,))
+    assert finite.paper_bound == 181.0 ** 135.75 / 4.0**44.25
+
+    def extraction(spec, xis):
+        raise AssertionError("the coefficient extraction ran")
+
+    monkeypatch.setattr(gauss_module, "sphere_multiplier_batch", extraction)
+    for d in (182, 190):
+        with pytest.raises(InfeasibleScale, match="envelope"):
+            decompose_arcs(SphereSpec(d, 4), np.zeros((1, d)), (1,))
+
+
 def test_major_arc_independent_reimplementation():
     # dual-path oracle: direct-sum Gauss factor and Bessel-form sphere symbol
     spec = SphereSpec(2, 4)

@@ -7,6 +7,7 @@ from sphlab import (
     CapExceeded,
     DomainError,
     EmptySphere,
+    InfeasibleScale,
     SphereSpec,
     density_ratio,
     enumerate_sphere,
@@ -160,6 +161,21 @@ def test_surface_measure():
         )
     with pytest.raises(DomainError):
         surface_measure(1)
+
+
+def test_surface_measure_overflow():
+    # Gamma(d/2) is finite up to d = 343 and overflows a float from d = 344 on
+    assert surface_measure(343) == 3.848314693351256e-223
+    for d in (344, 400):
+        with pytest.raises(InfeasibleScale, match="surface measure"):
+            surface_measure(d)
+
+
+def test_sphere_counts_closed_forms_in_high_dimension():
+    # the table is built in a loop over d, so 1500 dimensions need no recursion
+    d = 1500
+    expected = (1, 2 * d, 2 * d * (d - 1), 8 * math.comb(d, 3), 2 * d + 16 * math.comb(d, 4))
+    assert sphere_counts(d, 4) == expected
 
 
 def test_density_ratio():

@@ -21,7 +21,7 @@ from sphlab import (
     random_hermitian_stack,
     spherical_average,
 )
-from sphlab.fields import _scale_symbols, _Scratch
+from sphlab.fields import _Scratch
 from test_acceptance import grid_oracle_2x2
 
 INF = math.inf
@@ -606,9 +606,9 @@ def test_empirical_maximal_ratio_matches_per_scale_route(d, side, seed, storage)
     if storage is float:
         ratios = empirical_maximal_ratio(d, side, scales, trials=4, seed=seed).ratios
     else:
-        symbols, scratch = _scale_symbols(d, side, scales), _Scratch.of(fields[0])
+        scratch = _Scratch((2,), d, side, (1, 4, 16))
         ratios = tuple(
-            lp_norm(dyadic_maximal(f, scales, symbols=symbols, scratch=scratch), 2) / lp_norm(f, 2)
+            lp_norm(dyadic_maximal(f, scales, scratch=scratch), 2) / lp_norm(f, 2)
             for f in fields
         )
     assert ratios == tuple(expected)
