@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InfeasibleScale, RegimeViolation, SphlabError
 from .gauss import COEFF_COST_BUDGET, decompose_arcs, verify_gauss_identities
-from .lattice import SphereSpec, sphere_counts, surface_measure
+from .lattice import SphereSpec, _ratio_from_count, sphere_counts, surface_measure
 from .ncmax import empirical_maximal_ratio, order_interval_majorant, random_hermitian_stack
 from .fields import DyadicRange
 from .symbols import _survey_points, fit_small_scale_constant, residual_survey
@@ -33,21 +33,19 @@ GAUSS_BOUND_TOL = 1e-12
 MAXRATIO_REGRESSION_TOL = 1e-8
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_csv(args, header: list[str], rows: list[list]) -> None:
+    """Write the header and rows as CSV, in one pass.
+
+    Rows hold Python scalars: csv writes a float as its repr (the shortest
+    string that reads back to the same float) and any other value by str.
+    """
     buf = io.StringIO()
     if not args.no_banner:
         stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         buf.write(f"# sphlab {args.command} {stamp}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
     text = buf.getvalue()
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -118,10 +116,6 @@ def _round_up_sig(value: float, digits: int = 4) -> float:
     return math.ceil(value / factor) * factor
 
 
-def _xi_hash(xi) -> str:
-    return hashlib.sha256(np.asarray(xi, dtype=float).tobytes()).hexdigest()[:12]
-
-
 def _parse_int_list(text: str) -> list[int]:
     """Comma-separated integers; an empty list raises ValueError, which argparse reports."""
     values = [int(v) for v in text.split(",") if v.strip() != ""]
@@ -145,8 +139,10 @@ def cmd_residual(args) -> int:
     spec = SphereSpec(args.d, args.lam)
     survey = residual_survey(spec, args.regime, args.samples, args.seed)
     ratio = survey.ratio
+    # each frequency's hash is that of its float64 bytes, a row of one C-ordered array
+    hashes = [hashlib.sha256(xi).hexdigest()[:12] for xi in np.ascontiguousarray(survey.xis, dtype=float)]
     columns = (survey.v_card, survey.branch, survey.residual, survey.bound, ratio)
-    rows = [list(row) for row in zip(map(_xi_hash, survey.xis), *(c.tolist() for c in columns))]
+    rows = [list(row) for row in zip(hashes, *(c.tolist() for c in columns))]
     max_ratio = float(ratio.max())
     rows.append(["max", "", "", float(survey.residual.max()), "", max_ratio])
     if args.regime == "small":
@@ -167,9 +163,8 @@ def cmd_residual(args) -> int:
 
 
 def cmd_ratio_survey(args) -> int:
-    # one count table for every lambda; the ratio is density_ratio's expression
+    # one count table for every lambda; the ratio is density_ratio's
     counts = sphere_counts(args.d, max(args.lambdas))
-    exponent = args.d / 2.0 - 1.0
     sigma = surface_measure(args.d)
     inv_sigma = 1.0 / sigma
     rows = []
@@ -177,7 +172,7 @@ def cmd_ratio_survey(args) -> int:
         if counts[lam] == 0:
             rows.append([args.d, lam, "", inv_sigma, "", "empty"])
             continue
-        ratio = float(lam) ** exponent / counts[lam]
+        ratio = _ratio_from_count(args.d, lam, counts[lam])
         rows.append([args.d, lam, ratio, inv_sigma, ratio * sigma, "ok"])
     _write_csv(args, ["d", "lam", "ratio", "inv_sigma", "ratio_times_sigma", "status"], rows)
     return 0
@@ -188,17 +183,10 @@ def cmd_decompose(args) -> int:
     points = _survey_points(args.d, args.samples, args.seed)
     cutoffs = range(args.nmin, args.nmax + 1)
     arcs = decompose_arcs(spec, points, cutoffs, budget=args.budget)
+    # hypot is the scalar complex abs; numpy's vectorized complex abs can differ in the last bit
+    columns = [np.hypot(part.real, part.imag).tolist() for part in (arcs.major, arcs.minor, arcs.error)]
     rows = [
-        [
-            args.d,
-            args.lam,
-            n,
-            index,
-            abs(arcs.major[k, index]),
-            abs(arcs.minor[k, index]),
-            abs(arcs.error[k, index]),
-            arcs.paper_bound,
-        ]
+        [args.d, args.lam, n, index, *(column[k][index] for column in columns), arcs.paper_bound]
         for k, n in enumerate(cutoffs)
         for index in range(len(points))
     ]

@@ -4,8 +4,9 @@ The sphere symbol at large radius splits into a sum of arc terms indexed by
 reduced fractions p/q, a tail term over large denominators, and an error
 term, so the bookkeeping identity can be checked numerically.  Each
 normalized 1-d Gauss sum G(p/q; x), x = 0..q-1, is tabulated once per
-(p, q) in each call that needs it, and nothing keeps the tables after the
-call; d-dimensional sums are products of table entries.
+(p, q) in each call that needs it, the tables of one denominator by one
+inverse DFT, and nothing keeps the tables after the call; d-dimensional
+sums are products of table entries.
 ``decompose_arcs`` evaluates every arc term of a block of frequencies once,
 in one vectorized pass over the fractions, and reads each cutoff n off a
 prefix sum (major arcs, q < n) and a suffix sum (tail, q >= n) of those
@@ -14,6 +15,7 @@ terms; the pointwise functions are thin wrappers over the same kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -76,15 +78,19 @@ def farey_set(n: int) -> set[FareyFraction]:
     return out
 
 
-def _gauss_table(p: int, q: int) -> np.ndarray:
-    """G(p/q; x) for x = 0..q-1, with 0 <= p < q.
+def _gauss_tables(ps, q: int) -> np.ndarray:
+    """G(p/q; x) for each p in ps (0 <= p < q) and x = 0..q-1, as a (len(ps), q) array.
 
     q^-1 sum_n e((n^2 p + x n)/q) over n mod q is the inverse DFT of the
     chirp e(n^2 p / q); the exponent n^2 p is reduced mod q in exact integer
     arithmetic before the complex exponential, so the phases stay small.
+    One inverse DFT along the rows serves every p of the denominator.  q
+    must be a Python int: the phase step 2 pi / q is then rounded once, as
+    a float, for every caller.
     """
     n = np.arange(q, dtype=np.int64)
-    return fft.ifft(np.exp((2j * math.pi / q) * ((n * n * p) % q)))
+    chirps = (np.asarray(ps, dtype=np.int64)[:, np.newaxis] * (n * n)) % q
+    return fft.ifft(np.exp((2j * math.pi / q) * chirps), axis=-1)
 
 
 def gauss_sum(p: int, q: int, x) -> complex:
@@ -98,7 +104,7 @@ def gauss_sum(p: int, q: int, x) -> complex:
         raise DomainError(f"denominator must be >= 1, got {q}")
     if math.gcd(p, q) != 1:
         raise DomainError(f"gauss_sum needs gcd(p, q) = 1, got p={p}, q={q}")
-    table = _gauss_table(p % q, q)
+    table = _gauss_tables([p % q], q)[0]
     residues = [int(xj) % q for xj in np.asarray(x, dtype=object).ravel()]
     return complex(np.prod(table[residues]))
 
@@ -129,15 +135,13 @@ def verify_gauss_identities(q_max: int, d: int) -> GaussIdentityReport:
         raise DomainError("need q_max >= 1 and d >= 1")
     rows = []
     for q in range(1, q_max + 1):
-        for p in range(0 if q == 1 else 1, q):
-            if math.gcd(p, q) != 1:
-                continue
-            mags = np.abs(_gauss_table(p, q))
-            sum_sq_1d = float(np.sum(mags * mags))
-            sup_1d = float(mags.max())
-            sum_dev = abs(sum_sq_1d**d - 1.0)
-            bound_excess = max(0.0, sup_1d**d - (2.0 / q) ** (d / 2.0))
-            rows.append((q, p, d, sum_dev, bound_excess))
+        ps = [p for p in range(0 if q == 1 else 1, q) if math.gcd(p, q) == 1]
+        mags = np.abs(_gauss_tables(ps, q))
+        sums_sq_1d = np.sum(mags * mags, axis=-1).tolist()
+        sups_1d = mags.max(axis=-1).tolist()
+        bound = (2.0 / q) ** (d / 2.0)
+        for p, sum_sq_1d, sup_1d in zip(ps, sums_sq_1d, sups_1d):
+            rows.append((q, p, d, abs(sum_sq_1d**d - 1.0), max(0.0, sup_1d**d - bound)))
     return GaussIdentityReport(tuple(rows))
 
 
@@ -203,9 +207,17 @@ def _arc_terms(spec: SphereSpec, fracs, xis: np.ndarray) -> tuple[np.ndarray, np
     sigma_hat = surface_measure(d) * continuous_sphere_symbol_batch(d, radius)
     prefactor = float(lam) ** (d / 2.0 - 1.0) / (2.0 * count)
     phase = np.exp(-2j * math.pi * ((lam * ps) % qs) / qs)
-    # each fraction's Gauss factors are one gather from its 1-d table
+    # each fraction's Gauss factors are one gather from its 1-d table, and each
+    # run of fractions with one denominator shares one batch of tables
     residues = nearest % q_col
-    factors = np.array([_gauss_table(int(p), int(q))[r] for p, q, r in zip(ps, qs, residues)])
+    factors = np.empty(residues.shape, dtype=complex)
+    start = 0
+    for q, run in itertools.groupby(fracs, key=lambda f: f.q):
+        run_ps = [f.p % q for f in run]
+        stop = start + len(run_ps)
+        rows = np.arange(len(run_ps))[:, np.newaxis, np.newaxis]
+        factors[start:stop] = _gauss_tables(run_ps, q)[rows, residues[start:stop]]
+        start = stop
     terms = (prefactor * phase)[:, None] * factors.prod(axis=-1) * sigma_hat
     windows = THETA_CUTOFF.profile(scaled - nearest).prod(axis=-1)
     return terms, windows

@@ -62,17 +62,26 @@ def theta_coefficients(lam: int) -> list[int]:
     return out
 
 
+def _count_dtype(d: int, lam_max: int):
+    """int64 while the box around the ball holds fewer than 2^63 points, else exact Python ints."""
+    return np.int64 if (2 * math.isqrt(lam_max) + 1) ** d < 2**63 else object
+
+
 @lru_cache(maxsize=None)
 def sphere_counts(d: int, lam_max: int) -> tuple[int, ...]:
-    """r_d(m) for m = 0..lam_max, exact.
+    """r_d(m) for m = 0..lam_max, exact, as Python ints.
 
     Built one dimension at a time by slice-adding the truncated theta
-    polynomial into the previous dimension's table, on exact Python-int
-    (``object``) arrays; only the requested (d, lam_max) table is cached.
+    polynomial into the previous dimension's table; only the requested
+    (d, lam_max) table is cached.  Every entry in dimension j <= d, and every
+    partial sum of the slice-adds, is at most the point count
+    (2 isqrt(lam_max) + 1)^j of the box around the ball, so the tables are
+    ``int64`` while the box holds fewer than 2^63 points and exact Python-int
+    (``object``) arrays beyond.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    out = np.array(theta_coefficients(lam_max), dtype=object)
+    out = np.array(theta_coefficients(lam_max), dtype=_count_dtype(d, lam_max))
     for _ in range(d - 1):
         prev = out
         out = prev.copy()  # k = 0 term
@@ -141,15 +150,34 @@ def surface_measure(d: int) -> float:
         raise InfeasibleScale(f"the surface measure of the unit sphere in R^{d} overflows a float") from None
 
 
+def _ratio_from_count(d: int, lam: int, count: int) -> float:
+    """lam^(d/2 - 1) / count for a count >= 1, correctly rounded from exact integers.
+
+    The square lam^(d - 2) / count^2 is an exact fraction.  Its integer
+    square root, scaled to at least 55 bits and rounded to odd, rounds to
+    the float nearest the true ratio, so nothing overflows or rounds before
+    the last step.  A ratio past the float range raises InfeasibleScale.
+    """
+    if lam == 0 and d == 1:
+        return math.inf
+    num, den = (lam ** (d - 2), count * count) if d >= 2 else (1, lam * count * count)
+    shift = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * shift
+    root = math.isqrt(scaled // den)
+    root |= root * root * den != scaled
+    try:
+        return root / (1 << shift)
+    except OverflowError:
+        raise InfeasibleScale(f"the density ratio {lam}^({d}/2 - 1) / r_{d}({lam}) overflows a float") from None
+
+
 def density_ratio(spec: SphereSpec) -> float:
     """lam^(d/2 - 1) / r_d(lam), the quantity that tracks 1/surface_measure(d).
 
-    Raises EmptySphere when r_d(lam) = 0.
+    Correctly rounded, so it is finite wherever the true ratio is.  Raises
+    EmptySphere when r_d(lam) = 0.
     """
     count = representation_count(spec)
     if count == 0:
         raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
-    exponent = spec.d / 2.0 - 1.0
-    if spec.lam == 0 and exponent < 0:
-        return math.inf
-    return float(spec.lam) ** exponent / count
+    return _ratio_from_count(spec.d, spec.lam, count)

@@ -113,13 +113,15 @@ def _sphere_coefficient_block(xis: np.ndarray, ks: np.ndarray, lam: int) -> np.n
         comp.fill(0.0)
         for w, sq in zip(weights(j), squares):  # y = w p - c; t = s + y; c = (t - s) - y; s = t
             n = lam + 1 - sq
-            yk, tk, cs, ns = y[:n], t[:n], comp[sq:], new[sq:]
+            yk, tk, cs, ns = y[:n], t[sq:], comp[sq:], new[sq:]
             np.multiply(poly[:n], w, out=yk)
             np.subtract(yk, cs, out=yk)
             np.add(ns, yk, out=tk)
             np.subtract(tk, ns, out=cs)
             np.subtract(cs, yk, out=cs)
-            np.copyto(ns, tk)
+            # t holds the sum from degree sq on; its head is the sum's unchanged head
+            np.copyto(t[:sq], new[:sq])
+            new, t = t, new
         poly, new = new, poly
     if d == 1:
         return poly[lam]

@@ -1,12 +1,20 @@
+import argparse
+import csv
+import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sphlab
+from sphlab import cli, decompose_arcs, residual_survey, SphereSpec
 from sphlab.cli import main
+from sphlab.symbols import _survey_points
 
 
 def run(args, tmp_path, name="out.csv"):
@@ -100,6 +108,14 @@ def test_ratio_survey(tmp_path):
     assert code == 0
     rows = [line.split(",") for line in text.strip().splitlines()[1:]]
     assert rows[1][5] == "empty"
+
+
+def test_ratio_survey_past_the_float_range_of_the_power(tmp_path):
+    # 120^149 overflows a float; the ratio is divided before it is rounded
+    code, text = run(["ratio-survey", "--d", "300", "--lambdas", "120"], tmp_path)
+    assert code == 0
+    row = text.strip().splitlines()[1].split(",")
+    assert math.isfinite(float(row[2])) and row[5] == "ok"
 
 
 def test_ratio_survey_rejects_zero():
@@ -506,3 +522,102 @@ def test_config_keys_take_their_flags_types(tmp_path):
     assert main(["--config", str(cfg), "residual", "--out", str(out)]) == 0
     assert out.read_text().startswith("xi_hash,")
     assert len(out.read_text().splitlines()) == 1 + 6 + 1
+
+
+def per_cell_format(value) -> str:
+    """Oracle: the formatting the CSV writer applied to each cell, one call per cell."""
+    if isinstance(value, float) or isinstance(value, np.floating):
+        return repr(float(value))
+    return str(value)
+
+
+def per_row_xi_hash(xi) -> str:
+    """Oracle: the residual frequency hash, one array conversion per row."""
+    return hashlib.sha256(np.asarray(xi, dtype=float).tobytes()).hexdigest()[:12]
+
+
+def per_cell_csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([per_cell_format(v) for v in row])
+    return buf.getvalue()
+
+
+def captured_run(argv, tmp_path, monkeypatch):
+    """Run a command; return its exit code, its CSV text and the (header, rows) it wrote."""
+    captured = []
+    write = cli._write_csv
+
+    def capture(args, header, rows):
+        captured.append((header, rows))
+        write(args, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    code, text = run(argv, tmp_path)
+    (written,) = captured
+    return code, text, written
+
+
+RESIDUAL_SMALL = ["residual", "--regime", "small", "--d", "25", "--lambda", "1", "--samples", "40", "--seed", "42"]
+RESIDUAL_INTERMEDIATE = ["residual", "--regime", "intermediate", "--d", "10", "--lambda", "1000",
+                         "--samples", "20", "--seed", "42"]
+# at this case numpy's vectorized complex abs differs from abs() in the last bit of two entries
+DECOMPOSE = ["decompose", "--d", "3", "--lambda", "300", "--nmin", "2", "--nmax", "18", "--samples", "5", "--seed", "9"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        RESIDUAL_SMALL,
+        RESIDUAL_INTERMEDIATE,
+        RESIDUAL_ARGV,
+        ["ratio-survey", "--d", "5", "--lambdas", "1,2,3,4,5,6,7,8,1000"],
+        ["ratio-survey", "--d", "2", "--lambdas", "1,3,25"],
+        DECOMPOSE,
+        ["verify-gauss", "--qmax", "12", "--d", "8"],
+        MAXIMAL_ARGV,
+    ],
+)
+def test_csv_text_equals_per_cell_formatting(tmp_path, monkeypatch, argv):
+    code, text, (header, rows) = captured_run(argv, tmp_path, monkeypatch)
+    assert code == 0
+    assert text == per_cell_csv(header, rows)
+
+
+def test_csv_writer_formats_edge_floats_as_repr(tmp_path):
+    edges = [1e16, 1e-5, 5e-324, math.nan, math.inf, -0.0, 0.1, 1 / 3, 2.0**53 + 2, 123456789.0]
+    header = ["x", "minus_x", "n", "blank", "status"]
+    rows = [[x, y, 7, "", "ok"] for x, y in zip(edges, np.negative(edges).tolist())]
+    out = tmp_path / "edges.csv"
+    cli._write_csv(argparse.Namespace(command="edges", no_banner=True, out=str(out)), header, rows)
+    text = out.read_text()
+    assert text == per_cell_csv(header, rows)
+    assert text == per_cell_csv(header, [[np.float64(x), np.float64(y), *rest] for x, y, *rest in rows])
+
+
+@pytest.mark.parametrize("argv", [RESIDUAL_SMALL, RESIDUAL_INTERMEDIATE, RESIDUAL_ARGV])
+def test_residual_hashes_equal_per_row_hashes(tmp_path, monkeypatch, argv):
+    _, _, (_, rows) = captured_run(argv, tmp_path, monkeypatch)
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    survey = residual_survey(
+        SphereSpec(int(flags["--d"]), int(flags["--lambda"])),
+        flags["--regime"], int(flags["--samples"]), int(flags["--seed"]),
+    )
+    hashes = [row[0] for row in rows[: len(survey.xis)]]
+    assert hashes == [per_row_xi_hash(xi) for xi in survey.xis]
+
+
+def test_decompose_magnitudes_equal_scalar_abs(tmp_path, monkeypatch):
+    # the column magnitudes are those of abs() on each complex entry
+    _, _, (_, rows) = captured_run(DECOMPOSE, tmp_path, monkeypatch)
+    points = _survey_points(3, 5, 9)
+    arcs = decompose_arcs(SphereSpec(3, 300), points, range(2, 19))
+    expected = [
+        [3, 300, n, i, abs(arcs.major[k, i]), abs(arcs.minor[k, i]), abs(arcs.error[k, i]), arcs.paper_bound]
+        for k, n in enumerate(range(2, 19))
+        for i in range(len(points))
+    ]
+    assert [row[4:7] for row in rows] == [row[4:7] for row in expected]
+    assert per_cell_csv([], rows) == per_cell_csv([], expected)

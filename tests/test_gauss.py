@@ -460,13 +460,13 @@ def test_batched_decomposition_matches_per_term_oracle(d, lam):
 
 
 def test_oracle_catches_a_perturbed_gauss_table(monkeypatch):
-    clean = gauss_module._gauss_table
+    clean = gauss_module._gauss_tables
 
-    def perturbed(p, q):
-        table = clean(p, q)
-        return table + 1e-9 if q == 1 else table
+    def perturbed(ps, q):
+        tables = clean(ps, q)
+        return tables + 1e-9 if q == 1 else tables
 
-    monkeypatch.setattr(gauss_module, "_gauss_table", perturbed)
+    monkeypatch.setattr(gauss_module, "_gauss_tables", perturbed)
     assert oracle_gap(5, 64) > 1e-12
 
 
@@ -480,13 +480,16 @@ def test_oracle_catches_the_integer_arc_counted_twice(monkeypatch):
     assert oracle_gap(5, 64, doubled) > 1e-12
 
 
+def reduced_residues(q: int) -> list[int]:
+    return [p for p in range(q) if math.gcd(p, q) == 1]
+
+
 def test_gauss_tables_match_direct_sum():
     for q in range(1, 13):
-        for p in range(q):
-            if math.gcd(p, q) != 1:
-                continue
-            table = gauss_module._gauss_table(p, q)
-            assert table.shape == (q,)
+        ps = reduced_residues(q)
+        tables = gauss_module._gauss_tables(ps, q)
+        assert tables.shape == (len(ps), q)
+        for p, table in zip(ps, tables):
             for x in range(q):
                 assert abs(table[x] - direct_gauss_sum(p, q, [x])) <= 1e-13
                 assert gauss_sum(p + 2 * q, q, [x - 3 * q]) == table[x]
@@ -495,8 +498,37 @@ def test_gauss_tables_match_direct_sum():
 def test_gauss_tables_match_cmath_loop_to_qmax_48():
     worst = 0.0
     for q in range(1, 49):
-        for p in range(q):
-            if math.gcd(p, q) == 1:
-                table = gauss_module._gauss_table(p, q)
-                worst = max(worst, max(abs(table[x] - oracle_gauss_sum_1d(p, q, x)) for x in range(q)))
+        ps = reduced_residues(q)
+        for p, table in zip(ps, gauss_module._gauss_tables(ps, q)):
+            worst = max(worst, max(abs(table[x] - oracle_gauss_sum_1d(p, q, x)) for x in range(q)))
     assert worst <= 1e-14
+
+
+def one_gauss_table(p: int, q: int) -> np.ndarray:
+    """Oracle: the table of one fraction by its own 1-d inverse DFT."""
+    n = np.arange(q, dtype=np.int64)
+    return np.fft.ifft(np.exp((2j * math.pi / q) * ((n * n * p) % q)))
+
+
+def test_gauss_tables_equal_one_inverse_dft_per_fraction():
+    # one batched inverse DFT per denominator gives each row's bits exactly
+    for q in range(1, 49):
+        ps = reduced_residues(q)
+        tables = gauss_module._gauss_tables(ps, q)
+        for p, table in zip(ps, tables):
+            assert np.array_equal(table, one_gauss_table(p, q)), (p, q)
+
+
+def test_gauss_identity_rows_equal_the_per_fraction_loop():
+    # the rows reduce each batched table as the one-table loop reduced its own
+    for d in (1, 3, 8):
+        expected = []
+        for q in range(1, 31):
+            for p in reduced_residues(q) if q > 1 else [0]:
+                mags = np.abs(one_gauss_table(p, q))
+                sum_sq_1d, sup_1d = float(np.sum(mags * mags)), float(mags.max())
+                bound_excess = max(0.0, sup_1d**d - (2.0 / q) ** (d / 2.0))
+                expected.append((q, p, d, abs(sum_sq_1d**d - 1.0), bound_excess))
+        rows = verify_gauss_identities(30, d).rows
+        assert rows == tuple(expected)
+        assert all(type(v) is float for row in rows for v in row[3:])

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sphlab import lattice
 from sphlab import (
     CapExceeded,
     DomainError,
@@ -87,6 +89,25 @@ def test_counts_match_loop_oracle_past_int64():
     assert max(oracle) > 2**67
     assert type(table) is tuple and all(type(c) is int for c in table)
     assert list(table) == oracle
+
+
+@pytest.mark.parametrize("d,lam_max", [(10, 1000), (8, 1020), (10, 1520)])
+def test_int64_counts_match_loop_oracle(d, lam_max):
+    # the intermediate pilot's and the ratio window's tables, and the last
+    # int64 table at d = 10: the box (2 * 39 + 1)^10 passes 2^63 at lam = 1521
+    assert lattice._count_dtype(d, lam_max) is np.int64
+    table = sphere_counts(d, lam_max)
+    assert type(table) is tuple and all(type(c) is int for c in table)
+    assert list(table) == loop_sphere_counts(d, lam_max)
+    assert lattice._count_dtype(10, 1521) is object
+
+
+def test_int64_counts_wrap_past_the_box_bound(monkeypatch):
+    # negative control: int64 at (24, 100), past the bound, wraps
+    assert lattice._count_dtype(24, 100) is object
+    monkeypatch.setattr(lattice, "_count_dtype", lambda d, lam_max: np.int64)
+    forced = lattice.sphere_counts.__wrapped__(24, 100)
+    assert list(forced) != loop_sphere_counts(24, 100)
 
 
 def jacobi_counts(d: int, n_max: int) -> list[int]:
@@ -184,6 +205,42 @@ def test_density_ratio():
     assert density_ratio(SphereSpec(16, 4)) == pytest.approx(4**7 / 29152, rel=1e-15)
     with pytest.raises(EmptySphere):
         density_ratio(SphereSpec(2, 3))
+
+
+def is_nearest_ratio(value: float, d: int, lam: int) -> bool:
+    """Oracle: value is within half an ulp of lam^(d/2 - 1) / r_d(lam), compared as exact squares."""
+    half = Fraction(math.ulp(value)) / 2
+    exact_sq = Fraction(lam) ** (d - 2) / Fraction(representation_count(SphereSpec(d, lam))) ** 2
+    return (Fraction(value) - half) ** 2 <= exact_sq <= (Fraction(value) + half) ** 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 40, 151])
+def test_density_ratio_is_correctly_rounded(d):
+    for lam in (1, 2, 3, 7, 50, 97, 128, 300):
+        if representation_count(SphereSpec(d, lam)):
+            assert is_nearest_ratio(density_ratio(SphereSpec(d, lam)), d, lam), lam
+
+
+def test_density_ratio_keeps_the_single_rounding_bits():
+    # up to d = 12 and lam ~ 10^3, lam^(d/2 - 1) and r_d(lam) are exact floats,
+    # so the one rounded division of the float expression is already nearest
+    for d in (2, 4, 8, 12):
+        counts = sphere_counts(d, 1060)
+        for lam in range(980, 1061):
+            if counts[lam]:
+                assert lattice._ratio_from_count(d, lam, counts[lam]) == float(lam) ** (d / 2 - 1) / counts[lam]
+
+
+def test_density_ratio_past_the_float_range_of_its_power():
+    # lam^(d/2 - 1) alone overflows a float; the ratio does not
+    spec = SphereSpec(300, 120)
+    with pytest.raises(OverflowError):
+        float(spec.lam) ** (spec.d / 2 - 1)
+    value = density_ratio(spec)
+    assert math.isfinite(value) and is_nearest_ratio(value, spec.d, spec.lam)
+    # a ratio past the float range is an infeasible scale, not a traceback
+    with pytest.raises(InfeasibleScale, match="density ratio"):
+        density_ratio(SphereSpec(600, 50))
 
 
 def test_spec_validation():
