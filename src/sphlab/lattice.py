@@ -63,8 +63,20 @@ def theta_coefficients(lam: int) -> list[int]:
 
 
 def _count_dtype(d: int, lam_max: int):
-    """int64 while the box around the ball holds fewer than 2^63 points, else exact Python ints."""
-    return np.int64 if (2 * math.isqrt(lam_max) + 1) ** d < 2**63 else object
+    """int64 while the ball |x|^2 <= lam_max provably holds fewer than 2^63 points of Z^d.
+
+    The count is at most the box count (2 isqrt(lam_max) + 1)^d and the
+    volume of the ball of radius sqrt(lam_max) + sqrt(d)/2, which holds the
+    disjoint unit cubes centred on the points.  That volume is compared in
+    logarithms with a margin of 1e-12 of the terms' sizes plus 1e-9, far
+    above their few ulps of rounding; past both bounds, exact Python ints.
+    """
+    if (2 * math.isqrt(lam_max) + 1) ** d < 2**63:
+        return np.int64
+    radius = math.sqrt(lam_max) + math.sqrt(d) / 2
+    terms = (d / 2 * math.log(math.pi), d * math.log(radius), -math.lgamma(d / 2 + 1))
+    margin = 1e-12 * sum(abs(t) for t in terms) + 1e-9
+    return np.int64 if sum(terms) + margin < 63 * math.log(2) else object
 
 
 @lru_cache(maxsize=None)
@@ -74,10 +86,10 @@ def sphere_counts(d: int, lam_max: int) -> tuple[int, ...]:
     Built one dimension at a time by slice-adding the truncated theta
     polynomial into the previous dimension's table; only the requested
     (d, lam_max) table is cached.  Every entry in dimension j <= d, and every
-    partial sum of the slice-adds, is at most the point count
-    (2 isqrt(lam_max) + 1)^j of the box around the ball, so the tables are
-    ``int64`` while the box holds fewer than 2^63 points and exact Python-int
-    (``object``) arrays beyond.
+    partial sum of the slice-adds, is at most the number of points of Z^j,
+    and so of Z^d, in the ball |x|^2 <= lam_max, so the tables are ``int64``
+    while ``_count_dtype`` bounds that number below 2^63 and exact
+    Python-int (``object``) arrays beyond.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")

@@ -62,8 +62,8 @@ def lp_norm(f: TorusField, p) -> float:
     """
     p = _check_p(p)
     if p == 2.0:
-        mags = np.abs(f.values)
-        return float(np.sqrt(np.sum(np.square(mags, out=mags))))
+        flat = f.values.reshape(-1)  # one dot product, no full-size temporary
+        return math.sqrt(np.vdot(flat, flat).real)
     if not f.is_matrix:
         return float(np.abs(f.values).max(initial=0.0))
     mats = f.values.reshape(-1, f.fiber, f.fiber)

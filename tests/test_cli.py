@@ -251,6 +251,16 @@ def test_maximal_survey_over_site_budget_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_maximal_survey_over_dense_work_budget_exit_3(tmp_path, capsys):
+    # 4 x 33^5 multiply-adds per transform: side 32 is the largest within the budget at d = 4
+    out = tmp_path / "x.csv"
+    argv = ["maximal-survey", "--dims", "4", "--sides", "33", "--scales", "0,1,2", "--trials", "1",
+            "--seed", "7", "--out", str(out)]
+    assert main(argv) == 3
+    assert "infeasible scale: 4 x 33^5 multiply-adds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_maximal_survey_over_fiber_budget_exit_3(tmp_path, capsys):
     # 10^15 fiber sites: the stack's entry budget is checked before it is drawn
     out = tmp_path / "x.csv"

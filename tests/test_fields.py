@@ -8,6 +8,7 @@ from sphlab import (
     DomainError,
     DyadicRange,
     EmptySphere,
+    InfeasibleScale,
     SphereSpec,
     THETA_CUTOFF,
     TorusField,
@@ -17,7 +18,7 @@ from sphlab import (
     eval_semigroup_symbol,
     spherical_average,
 )
-from sphlab.fields import MAX_SPHERE_POINTS, _Scratch
+from sphlab.fields import MAX_DENSE_WORK, MAX_SPHERE_POINTS, _Scratch
 from test_symbols import direct_sphere_multiplier
 from transference import (
     apply_multiplier,
@@ -47,16 +48,20 @@ def random_hermitian_field(d, L, n, seed):
     return TorusField.matrix(d, (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2)
 
 
+def roll_average(values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The mean of values(x - y) over the points y, one periodic shift of the leading axes per point."""
+    axes = tuple(range(points.shape[1]))
+    acc = np.zeros_like(values)
+    for y in points:
+        acc += np.roll(values, shift=y, axis=axes)
+    return acc / len(points)
+
+
 def roll_spherical_average(f: TorusField, spec: SphereSpec) -> TorusField:
     """Spatial oracle: the mean of f(x - y) over the sphere, one periodic shift per point."""
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
-    points = enumerate_sphere(spec, MAX_SPHERE_POINTS)
-    axes = tuple(range(f.d))
-    acc = np.zeros_like(f.values)
-    for y in points:
-        acc += np.roll(f.values, shift=y, axis=axes)
-    return TorusField(f.d, acc / len(points))
+    return TorusField(f.d, roll_average(f.values, enumerate_sphere(spec, MAX_SPHERE_POINTS)))
 
 
 def test_dft_delta_and_constant():
@@ -325,27 +330,34 @@ def test_public_calls_return_arrays_of_their_own():
 def test_sphere_symbol_owns_a_real_copy():
     scratch = _Scratch((), 3, 8, (4,))
     symbol = scratch.symbols[4]
-    assert symbol.dtype == np.float64 and symbol.shape == (8, 8, 5)
+    assert symbol.dtype == np.float64 and symbol.shape == (8, 8, 8)
     assert symbol.flags.owndata and not symbol.flags.writeable
-    # the spectra's layout: the last two torus axes swapped in memory
-    assert np.swapaxes(symbol, -2, -1).flags.c_contiguous
-    buffers = (scratch.rows, scratch.spectrum, scratch.product, scratch.maximum)
+    # the spectrum's layout: one value per basis vector, C order
+    assert symbol.flags.c_contiguous
+    buffers = (*scratch.work, scratch.spectrum, scratch.maximum)
     assert not any(np.shares_memory(symbol, buffer) for buffer in buffers)
     with pytest.raises(EmptySphere):
         _Scratch((), 3, 8, (4, 7))
 
 
+def basis_frequencies(side):
+    """The frequency of each basis row: cosines m = 0..side//2, then sines m = 1..(side-1)//2."""
+    return np.r_[0 : side // 2 + 1, 1 : (side + 1) // 2]
+
+
 @pytest.mark.parametrize("lead", [(2,), (2, 2, 2)], ids=["complex", "matrix"])
 @pytest.mark.parametrize("d,side", [(1, 12), (2, 16), (3, 9), (2, 11)])
 def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
-    """A scratch with leading axes builds each symbol through rows[first] and spectrum[first].
+    """A scratch with trailing axes builds each symbol from the weights grid alone.
 
     Its symbols equal a real field's scratch's bit for bit, in the same
-    strides, and match ``numpy.fft.rfftn`` of the normalized indicator.
+    strides, and match ``numpy.fft.fftn`` of the normalized indicator
+    gathered at the basis rows' frequencies.
     """
     lams = (1, 4, 16)
     real = _Scratch((), d, side, lams)
     other = _Scratch(lead, d, side, lams)
+    freq = basis_frequencies(side)
     for lam in lams:
         symbol, own = real.symbols[lam], other.symbols[lam]
         assert own.strides == symbol.strides
@@ -353,7 +365,75 @@ def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
         points = enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)
         weights = np.zeros((side,) * d)
         np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
-        assert np.abs(symbol - np.fft.rfftn(weights).real).max() <= 1e-15
+        oracle = np.fft.fftn(weights).real[np.ix_(*(freq,) * d)]
+        assert np.abs(symbol - oracle).max() <= 1e-15
+
+
+def basis_rows(side):
+    """The real Fourier basis of Z_side as rows, from the cosine and sine formulas."""
+    freq, x = basis_frequencies(side), np.arange(side)
+    angles = 2 * np.pi * np.outer(freq, x) / side
+    return np.where((np.arange(side) <= side // 2)[:, np.newaxis], np.cos(angles), np.sin(angles))
+
+
+def basis_residuals(d, side, apply):
+    """For every tensor basis vector v: the largest entry of apply(v) - c v, c the best multiple."""
+    rows = basis_rows(side)
+    residuals = np.empty((side,) * d)
+    multiples = np.empty((side,) * d)
+    for index in np.ndindex(*(side,) * d):
+        v = rows[index[0]]
+        for k in index[1:]:
+            v = np.multiply.outer(v, rows[k])
+        image = apply(v)
+        multiples[index] = np.vdot(v, image) / np.vdot(v, v)
+        residuals[index] = np.abs(image - multiples[index] * v).max()
+    return residuals, multiples
+
+
+# (8, 16), (9, 25) and (5, 9) hold aliased points: 2t >= L
+@pytest.mark.parametrize("d,side,lams", [(1, 8, (1, 16)), (2, 9, (2, 25)), (3, 5, (1, 9))])
+def test_sphere_average_is_diagonal_in_the_real_basis(d, side, lams):
+    """Every basis vector goes through the roll oracle to its symbol entry times itself."""
+    scratch = _Scratch((), d, side, lams)
+    rows = basis_rows(side)
+    # the formula's angles round 2 pi m x / L, the package's only 2 pi r / L with r = m x mod L
+    assert np.abs(scratch.basis - rows).max() <= 1e-14
+    assert np.abs(scratch.inverse @ scratch.basis - np.eye(side)).max() <= 1e-15
+    for lam in lams:
+        spec = SphereSpec(d, lam)
+        residuals, multiples = basis_residuals(
+            d, side, lambda v: roll_spherical_average(TorusField.scalar(v), spec).values
+        )
+        assert residuals.max() <= 1e-13
+        assert np.abs(multiples - scratch.symbols[lam]).max() <= 1e-13
+
+
+def test_half_sphere_average_is_not_diagonal_in_the_real_basis():
+    """Negative control: the points of the sphere with y_1 >= 0 are not even in y_1."""
+    d, side, lam = 2, 9, 25
+    points = enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)
+    half = points[points[:, 0] >= 0]
+    residuals, _ = basis_residuals(d, side, lambda v: roll_average(v, half))
+    assert residuals.max() >= 0.1
+
+
+def test_dense_work_budget_admits_its_largest_side():
+    """(4, 32) is the largest 4-d torus within the budget; side 33 raises before it allocates."""
+    assert 4 * 32**5 <= MAX_DENSE_WORK < 4 * 33**5
+    const = TorusField.scalar(np.full((32,) * 4, 2.5))
+    assert np.abs(dyadic_maximal(const, DyadicRange((0, 1))).values - 2.5).max() <= 1e-12
+    over = TorusField.scalar(np.full((33,) * 4, 2.5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleScale, match="multiply-adds per transform"):
+            dyadic_maximal(over, DyadicRange((0,)))
+        with pytest.raises(InfeasibleScale):
+            spherical_average(over, SphereSpec(4, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * 33**4 * 8
 
 
 def test_scratch_shape_and_spheres_are_checked():
@@ -376,10 +456,10 @@ def test_scratch_shape_and_spheres_are_checked():
 def test_public_spherical_average_peak_memory():
     """A public average builds its symbol in its own scratch: the traced peak stays within 5.5 torus arrays.
 
-    At (5, 12) that is the scratch (rows, spectrum and product, 1.17
-    torus arrays of float64 each, and the maximum) and the symbol's real
-    copy (0.58); transforming the symbol in buffers of its own would add
-    at least one more.
+    At (5, 12) that is the scratch (two work buffers, the spectrum and
+    the maximum, one torus array of float64 each) and the symbol (one);
+    transforming the symbol in buffers of its own would add at least one
+    more.
     """
     d, side = 5, 12
     f = random_real_scalar(d, side, 230)

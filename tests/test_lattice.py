@@ -91,19 +91,23 @@ def test_counts_match_loop_oracle_past_int64():
     assert list(table) == oracle
 
 
-@pytest.mark.parametrize("d,lam_max", [(10, 1000), (8, 1020), (10, 1520)])
+@pytest.mark.parametrize("d,lam_max", [(10, 1000), (8, 1020), (10, 1520), (12, 1000)])
 def test_int64_counts_match_loop_oracle(d, lam_max):
-    # the intermediate pilot's and the ratio window's tables, and the last
-    # int64 table at d = 10: the box (2 * 39 + 1)^10 passes 2^63 at lam = 1521
+    # the intermediate pilot's and the ratio window's tables, the last table at
+    # d = 10 within the box bound ((2 * 39 + 1)^10 passes 2^63 at lam = 1521), and
+    # (12, 1000), past the box 63^12 = 3.9e21 but within the ball bound 2.5e18
+    # (its entries peak at 8.2e15)
     assert lattice._count_dtype(d, lam_max) is np.int64
     table = sphere_counts(d, lam_max)
     assert type(table) is tuple and all(type(c) is int for c in table)
     assert list(table) == loop_sphere_counts(d, lam_max)
-    assert lattice._count_dtype(10, 1521) is object
+    # the ball of radius sqrt(lam) + sqrt(10)/2 keeps d = 10 on int64 up to lam = 4923
+    assert lattice._count_dtype(10, 4923) is np.int64
+    assert lattice._count_dtype(10, 4924) is object
 
 
 def test_int64_counts_wrap_past_the_box_bound(monkeypatch):
-    # negative control: int64 at (24, 100), past the bound, wraps
+    # negative control: int64 at (24, 100), past the box and the ball bound, wraps
     assert lattice._count_dtype(24, 100) is object
     monkeypatch.setattr(lattice, "_count_dtype", lambda d, lam_max: np.int64)
     forced = lattice.sphere_counts.__wrapped__(24, 100)

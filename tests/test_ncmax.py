@@ -617,10 +617,10 @@ def test_empirical_maximal_ratio_matches_per_scale_route(d, side, seed, storage)
 def test_empirical_maximal_ratio_peak_memory():
     """One scratch for every scale and trial: the traced peak stays within 8.5 torus arrays.
 
-    At (5, 12) that is the three scale symbols (1.75 torus arrays of
-    float64), the draw, the scratch (4.5) and one ``lp_norm`` temporary;
-    fresh transform buffers per scale or per trial would add at least one
-    more.
+    At (5, 12) that is the three scale symbols (three torus arrays of
+    float64), the draw and the scratch (four); ``lp_norm`` holds no
+    temporary, and fresh transform buffers per scale or per trial would
+    add at least one more.
     """
     d, side = 5, 12
     tracemalloc.start()
