@@ -55,6 +55,7 @@ from .ncmax import (
     empirical_maximal_ratio,
     lp_norm,
     order_interval_majorant,
+    order_interval_majorants,
     random_hermitian_stack,
 )
 from .symbols import (

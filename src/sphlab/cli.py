@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InfeasibleScale, RegimeViolation, SphlabError
 from .gauss import COEFF_COST_BUDGET, decompose_arcs, verify_gauss_identities
 from .lattice import SphereSpec, _ratio_from_count, sphere_counts, surface_measure
-from .ncmax import empirical_maximal_ratio, order_interval_majorant, random_hermitian_stack
+from .ncmax import empirical_maximal_ratio, order_interval_majorants, random_hermitian_stack
 from .fields import DyadicRange
 from .symbols import _survey_points, fit_small_scale_constant, residual_survey
 
@@ -227,24 +227,24 @@ def cmd_maximal_survey(args) -> int:
                 failed = True
         else:
             print(f"# no frozen value for {key}; reporting only", file=sys.stderr)
-    for trial in range(args.fiber_trials):
-        stack_seed = args.seed + 1000 + trial
-        stack = random_hermitian_stack(len(scales.exponents), args.fiber_sites, 2, stack_seed)
-        for p_label, p in (("2", 2.0), ("inf", math.inf)):
-            sol = order_interval_majorant(stack, p, tol=args.tol, max_iter=args.max_iter)
+    family = len(scales.exponents)
+    stack_seeds = [args.seed + 1000 + trial for trial in range(args.fiber_trials)]
+    solved = [
+        # each pass draws the stacks one at a time, as the solver reads them
+        order_interval_majorants(
+            (random_hermitian_stack(family, args.fiber_sites, 2, seed) for seed in stack_seeds),
+            p,
+            tol=args.tol,
+            max_iter=args.max_iter,
+        )
+        for p in (2.0, math.inf)
+    ]
+    for trial, stack_seed in enumerate(stack_seeds):
+        for p_label, solutions in zip(("2", "inf"), solved):
+            sol = solutions[trial]
             gap = sol.value - sol.lower_bound
             rows.append(
-                [
-                    "majorant",
-                    args.dims[0],
-                    args.fiber_sites,
-                    2,
-                    stack.family_size,
-                    p_label,
-                    sol.value,
-                    gap,
-                    stack_seed,
-                ]
+                ["majorant", args.dims[0], args.fiber_sites, 2, family, p_label, sol.value, gap, stack_seed]
             )
             if gap > args.tol:
                 print(

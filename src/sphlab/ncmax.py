@@ -4,16 +4,19 @@ For selfadjoint families the maximal norm is the smallest p-norm of a
 positive majorant a with -a <= x_k <= a in the Loewner order.  The problem
 decouples over sites for p in {2, inf}.  At p = inf the optimal majorant is
 the closed form max_k ||x_k||_op times the identity at each site.  At p = 2
-all fiber problems are solved in one batch by accelerated Gauss-Seidel
-sweeps on the dual, whose value is a certified lower bound; each site
-keeps its own momentum and restarts it when its dual value falls or the
-gradient test fires, so the independent fibers do not reset one another.
-An identity shift of the dual's primal point gives a feasible upper
-bound.  A site whose two bounds meet its share of the tolerance is frozen
-and leaves the batch, and the solve stops when every site is frozen or the
-summed bounds are within tolerance.  At n = 2 the fibers are held as four
-real Pauli coordinates, in which the positive cone is the Lorentz cone and
-every eigen step has a closed form; larger fibers project by batched LAPACK
+the fiber problems of many stacks are solved in one batch by accelerated
+Gauss-Seidel sweeps on the dual, whose value is a certified lower bound;
+each site keeps its own momentum and restarts it when its dual value falls
+or the gradient test fires, so the independent fibers do not reset one
+another.  An identity shift of the dual's primal point gives a feasible
+upper bound.  A site whose two bounds meet its share of its own stack's
+tolerance, the share read against the sum over that stack's sites, is
+frozen and leaves the batch, and a stack stops when every one of its sites
+is frozen, its summed bounds are within tolerance or its sweeps run out;
+per-stack sums are taken in site order, so each stack gets the bits it
+gets alone.  At n = 2 the fibers are held as four real Pauli coordinates,
+in which the positive cone is the Lorentz cone and every eigen step has a
+closed form; larger fibers project by batched LAPACK
 ``eigh``, which the tests keep as the n = 2 oracle, and take the shift
 from a Weyl bound on the sweep's later moves, with no eigen step.  The
 scalar (n = 1) and commuting cases collapse to the pointwise supremum and
@@ -23,6 +26,7 @@ serve as exact oracles.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +40,7 @@ __all__ = [
     "MajorantSolution",
     "lp_norm",
     "order_interval_majorant",
+    "order_interval_majorants",
     "MaximalRatioStats",
     "empirical_maximal_ratio",
     "random_hermitian_stack",
@@ -265,8 +270,15 @@ def _cone(n: int):
     return _LorentzCone() if n == 2 else _MatrixCone(n)
 
 
-def _solve_p2(xs: np.ndarray, tol: float, max_iter: int) -> MajorantSolution:
-    """Accelerated Gauss-Seidel dual sweeps for every p = 2 fiber problem at once.
+def _joined(stacks: list[HermitianStack]) -> np.ndarray:
+    """The stacks' matrices joined along the site axis, in order; one stack is not copied."""
+    if len(stacks) == 1:
+        return stacks[0].matrices
+    return np.concatenate([stack.matrices for stack in stacks], axis=1)
+
+
+def _solve_p2(stacks: list[HermitianStack], tol: float, max_iter: int) -> list[MajorantSolution]:
+    """Accelerated Gauss-Seidel dual sweeps for every p = 2 fiber problem of the stacks at once.
 
     The fiber problem min ||a||^2 / 2 subject to a >= y_j for y_j = +-x_k
     has the dual max sum_j <Z_j, y_j> - ||sum_j Z_j||^2 / 2 over Z_j >= 0,
@@ -282,35 +294,46 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int) -> MajorantSolution:
     certifies ||a|| >= sqrt(2 d) at its site, and a shifted by the identity
     times the cone's ``repair`` is feasible.
 
-    A site s whose squared best norm B_s and bound L_s satisfy
-    B_s - L_s <= 2 tol L_s / sqrt(sum B), the sum taken over all sites, is
-    frozen: its best majorant and bound are written out and it leaves the
-    working arrays.  The solve stops when every site is frozen or when the
-    summed-in-squares best norm and bound are within ``tol``.  Every sum B
-    read at a freeze is at least the final sum L, so the frozen sites add
-    at most 2 tol sqrt(sum L) to sum B - sum L, and either stop certifies
-    sqrt(sum B) - sqrt(sum L) <= tol.  At tol 0 a site freezes exactly when
-    its own gap is 0, as it would stop if solved alone.
+    The stacks' sites are swept as one batch, each live site tagged with
+    its stack, and every per-stack sum is an ``np.bincount`` over those
+    tags, which adds each stack's terms in site order: a stack's sums, and
+    so its whole solve, do not depend on what else is in the batch.  A site
+    s whose squared best norm B_s and bound L_s satisfy
+    B_s - L_s <= 2 tol L_s / sqrt(sum B), the sum taken over the sites of
+    its own stack, is frozen: its best majorant and bound are written out
+    and it leaves the working arrays.  A stack stops when every one of its
+    sites is frozen, when its summed-in-squares best norm and bound are
+    within ``tol``, or after ``max_iter`` sweeps; its live sites then leave
+    the same way.  Every sum B read at a freeze is at least the stack's
+    final sum L, so its frozen sites add at most 2 tol sqrt(sum L) to
+    sum B - sum L, and either of the first two stops certifies
+    sqrt(sum B) - sqrt(sum L) <= tol.  At tol 0 a site freezes exactly
+    when its own gap is 0, as it would stop if solved alone.
 
     At n = 2 the iterates are Pauli coordinates and every eigen step is the
     closed form of the Lorentz cone (``_LorentzCone``); larger fibers use
     batched LAPACK ``eigh`` and an eigen-free repair (``_MatrixCone``).
     """
+    sizes = [stack.sites for stack in stacks]
+    xs = _joined(stacks)
     cone = _cone(xs.shape[-1])
     ys = cone.coords(np.concatenate([xs, -xs]))
-    sites = xs.shape[1]
+    count = len(stacks)
+    stack_of = np.repeat(np.arange(count), sizes)  # the stack of each live site
     # a = 0 repaired is the p = inf closed form, feasible from the start
     best = cone.expand(cone.extremes(ys)[1].max(axis=0)) * cone.eye
     best_sq = cone.sq_norm(best)
-    lower_sq = np.zeros(sites)
+    lower_sq = np.zeros(stack_of.size)
     z = v = np.zeros_like(ys)
-    t, dual_prev = np.ones(sites), np.zeros(sites)
-    live = np.arange(sites)  # the working arrays hold these sites, in this order
-    out = best.copy()  # the best majorant of every site, written when it freezes
-    frozen_sq = frozen_lower = 0.0
-    converged, iters, site_sweeps = False, 0, 0
+    t, dual_prev = np.ones(stack_of.size), np.zeros(stack_of.size)
+    live = np.arange(stack_of.size)  # the working arrays hold these sites, in this order
+    out = best.copy()  # the best majorant of every site, written when it leaves
+    frozen_sq, frozen_lower = np.zeros(count), np.zeros(count)
+    live_count, site_sweeps = np.array(sizes, dtype=np.int64), np.zeros(count, dtype=np.int64)
+    running, converged = np.ones(count, dtype=bool), np.zeros(count, dtype=bool)
+    iterations = np.zeros(count, dtype=np.int64)
     for iters in range(1, max_iter + 1):
-        site_sweeps += live.size
+        site_sweeps += live_count
         z_new = v.copy()
         a = z_new.sum(axis=0)
         for j, y in enumerate(ys):
@@ -326,8 +349,8 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int) -> MajorantSolution:
         better = cand_sq <= best_sq * (1.0 + _TIE)
         best = np.where(cone.expand(better), cand, best)
         best_sq = np.where(better, cand_sq, best_sq)
-        total_sq = frozen_sq + best_sq.sum()
-        gap = math.sqrt(total_sq) - math.sqrt(frozen_lower + lower_sq.sum())
+        root_total = np.sqrt(frozen_sq + np.bincount(stack_of, best_sq, minlength=count))
+        gap = root_total - np.sqrt(frozen_lower + np.bincount(stack_of, lower_sq, minlength=count))
         moved = z_new - z
         restart = (cone.dot(v - z_new, moved) > 0.0) | (dual < dual_prev * (1.0 - _TIE))
         t_next = np.where(restart, 1.0, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0)
@@ -338,58 +361,127 @@ def _solve_p2(xs: np.ndarray, tol: float, max_iter: int) -> MajorantSolution:
         # freezes exactly when sqrt B <= sqrt L, where it would stop alone
         root_b, root_l = np.sqrt(best_sq), np.sqrt(lower_sq)
         spread = (root_b - root_l) * (root_b + root_l)
-        freeze = spread * math.sqrt(total_sq) <= 2.0 * tol * lower_sq
+        freeze = spread * root_total[stack_of] <= 2.0 * tol * lower_sq
         if freeze.any():
+            live_count = np.bincount(stack_of[~freeze], minlength=count)
+        done = (live_count == 0) | (gap <= tol)
+        stop = running & (done | (iters == max_iter))
+        converged |= stop & done
+        iterations[stop] = iters
+        running &= ~stop
+        live_count[stop] = 0
+        leave = freeze | stop[stack_of]
+        if leave.any():
             cone.put(out, live, best)  # the sites kept are written again later
-            frozen_sq += best_sq[freeze].sum()
-            frozen_lower += lower_sq[freeze].sum()
-            keep = np.flatnonzero(~freeze)
+            frozen_sq += np.bincount(stack_of[leave], best_sq[leave], minlength=count)
+            frozen_lower += np.bincount(stack_of[leave], lower_sq[leave], minlength=count)
+            keep = np.flatnonzero(~leave)
             live = live[keep]
             ys, z, v, best = (cone.take(h, keep) for h in (ys, z, v, best))
-            best_sq, lower_sq, t, dual_prev = (h[keep] for h in (best_sq, lower_sq, t, dual_prev))
-        if live.size == 0 or gap <= tol:
-            converged = True
+            best_sq, lower_sq, t, dual_prev, stack_of = (
+                h[keep] for h in (best_sq, lower_sq, t, dual_prev, stack_of)
+            )
+        if not running.any():
             break
-    cone.put(out, live, best)
-    value = math.sqrt(frozen_sq + best_sq.sum())
-    lower = math.sqrt(frozen_lower + lower_sq.sum())
-    return MajorantSolution(cone.matrices(out), value, lower, converged, iters, site_sweeps)
+    majorants = np.split(cone.matrices(out), np.cumsum(sizes)[:-1])
+    per_stack = zip(majorants, np.sqrt(frozen_sq), np.sqrt(frozen_lower), converged, iterations, site_sweeps)
+    return [
+        MajorantSolution(majorant, float(value), float(lower), bool(ok), int(sweeps), int(pairs))
+        for majorant, value, lower, ok, sweeps, pairs in per_stack
+    ]
 
 
-def order_interval_majorant(
-    stack: HermitianStack, p, tol: float = 1e-6, max_iter: int = 500
-) -> MajorantSolution:
-    """Smallest-norm positive a with -a <= x_k <= a at every site.
+def _solve_inf(stacks: list[HermitianStack]) -> list[MajorantSolution]:
+    """The p = inf closed form over the stacks' concatenated sites, split per stack."""
+    sizes = [stack.sites for stack in stacks]
+    xs = _joined(stacks)
+    cone = _cone(xs.shape[-1])
+    low, high = cone.extremes(cone.coords(xs))
+    spread = np.maximum(high, -low).max(axis=0)
+    majorant = spread[:, np.newaxis, np.newaxis] * np.eye(xs.shape[-1], dtype=complex)
+    cuts = np.cumsum(sizes)[:-1]
+    solutions = []
+    for piece, part in zip(np.split(majorant, cuts), np.split(spread, cuts)):
+        value = float(part.max(initial=0.0))
+        solutions.append(MajorantSolution(piece, value, value, True, iterations=0, site_sweeps=0))
+    return solutions
+
+
+def _batches(stacks: Iterable[HermitianStack]) -> Iterator[list[HermitianStack]]:
+    """Consecutive runs of the stacks, each of at most ``MAX_SITES`` matrix entries in all.
+
+    A stack that alone holds more entries forms a batch by itself.  Every
+    stack must have the first one's family size and fiber size, else
+    ``DomainError``.
+    """
+    batch, entries, shape = [], 0, None
+    for stack in stacks:
+        if stack.family_size < 1:
+            raise DomainError("need at least one family member")
+        if stack.fiber > 8:
+            raise DomainError("fiber sizes above 8 are out of scope")
+        if shape is None:
+            shape = (stack.family_size, stack.fiber)
+        elif (stack.family_size, stack.fiber) != shape:
+            raise DomainError(
+                f"stacks must share K and n: got (K, n) = {(stack.family_size, stack.fiber)} "
+                f"after {shape}"
+            )
+        if batch and entries + stack.matrices.size > MAX_SITES:
+            yield batch
+            batch, entries = [], 0
+        batch.append(stack)
+        entries += stack.matrices.size
+    if batch:
+        yield batch
+
+
+def order_interval_majorants(
+    stacks: Iterable[HermitianStack], p, tol: float = 1e-6, max_iter: int = 500
+) -> tuple[MajorantSolution, ...]:
+    """Smallest-norm positive a with -a <= x_k <= a at every site, for each stack.
 
     The fiber problems are independent.  At p = inf every feasible a has top
     eigenvalue at least max_k ||x_k||_op, and that multiple of the identity
     is feasible, so it is the majorant at each site, its value is also the
     lower bound, and no iteration runs; at n = 2, ||x||_op = |h0| + |h| in
-    Pauli coordinates.  At p = 2 all sites are solved in one batch by the
-    dual sweeps of ``_solve_p2``, which freezes each site once it has
-    certified its share of ``tol``; the site norms are summed in squares,
-    ``value - lower_bound`` is the certified optimality gap, ``tol`` the
-    gap at which it stops and ``max_iter`` its budget of dual sweeps, and
-    ``site_sweeps`` counts the (site, sweep) pairs it swept: a NaN or
-    negative ``tol`` or a ``max_iter`` below 1 raises ``DomainError``.
+    Pauli coordinates.  At p = 2 the sites of many stacks are solved in one
+    batch by the dual sweeps of ``_solve_p2``, which freezes each site once
+    it has certified its share of its own stack's ``tol``; a stack's site
+    norms are summed in squares, ``value - lower_bound`` is its certified
+    optimality gap, ``tol`` the gap at which it stops and ``max_iter`` its
+    budget of dual sweeps, and ``site_sweeps`` counts the (site, sweep)
+    pairs swept on it.  Each stack gets the bits it gets alone.
+
+    The stacks, which must share the family size K and the fiber size n,
+    are read in order and solved in consecutive batches of at most
+    ``MAX_SITES`` matrix entries in all (a larger stack is a batch by
+    itself), so an iterable that draws them one at a time holds at most
+    one batch.  A NaN or negative ``tol`` or a
+    ``max_iter`` below 1 raises ``DomainError``, as does a stack with no
+    family member, a fiber size above 8, or mixed K or n.
     """
     p = _check_p(p)
     if not tol >= 0.0:
         raise DomainError(f"tol must be a non-negative number, got {tol!r}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be at least 1, got {max_iter!r}")
-    if stack.family_size < 1:
-        raise DomainError("need at least one family member")
-    if stack.fiber > 8:
-        raise DomainError("fiber sizes above 8 are out of scope")
-    if p == math.inf:
-        cone = _cone(stack.fiber)
-        low, high = cone.extremes(cone.coords(stack.matrices))
-        spread = np.maximum(high, -low).max(axis=0)
-        majorant = spread[:, np.newaxis, np.newaxis] * np.eye(stack.fiber, dtype=complex)
-        value = float(spread.max(initial=0.0))
-        return MajorantSolution(majorant, value, value, True, iterations=0, site_sweeps=0)
-    return _solve_p2(stack.matrices, tol, max_iter)
+    solutions = []
+    for batch in _batches(stacks):
+        solutions += _solve_inf(batch) if p == math.inf else _solve_p2(batch, tol, max_iter)
+    return tuple(solutions)
+
+
+def order_interval_majorant(
+    stack: HermitianStack, p, tol: float = 1e-6, max_iter: int = 500
+) -> MajorantSolution:
+    """``order_interval_majorants`` for one stack: all its sites are one batch.
+
+    At p = 2 each site freezes against the stack's own summed norm, and
+    ``value - lower_bound`` is the certified gap, at most ``tol`` when the
+    solve converged.
+    """
+    return order_interval_majorants((stack,), p, tol=tol, max_iter=max_iter)[0]
 
 
 @dataclass(frozen=True)

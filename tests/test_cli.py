@@ -221,6 +221,57 @@ def test_maximal_survey_max_iter_budget(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def per_stack_majorant_rows(d, family, sites, trials, seed, tol, max_iter):
+    """Oracle: the survey's majorant rows and gate lines from one lone solve per stack and p."""
+    rows, fired = [], []
+    for trial in range(trials):
+        stack_seed = seed + 1000 + trial
+        stack = sphlab.random_hermitian_stack(family, sites, 2, stack_seed)
+        for p_label, p in (("2", 2.0), ("inf", math.inf)):
+            sol = sphlab.order_interval_majorant(stack, p, tol=tol, max_iter=max_iter)
+            gap = sol.value - sol.lower_bound
+            rows.append(["majorant", d, sites, 2, family, p_label, sol.value, gap, stack_seed])
+            if gap > tol:
+                fired.append(
+                    f"# majorant seed {stack_seed} p {p_label}: certified gap {gap!r} "
+                    f"above tol {tol!r} after {sol.iterations} iterations, "
+                    f"{sol.site_sweeps} site-sweeps (converged {sol.converged})"
+                )
+    return rows, fired
+
+
+README_MAXIMAL = ["maximal-survey", "--dims", "2,3,4,5", "--sides", "32,32,16,12", "--scales", "0,1,2",
+                  "--trials", "8", "--seed", "7", "--fiber-trials", "8", "--fiber-sites", "32"]
+
+
+@pytest.mark.parametrize(
+    "argv,oracle",
+    [
+        (README_MAXIMAL, (2, 3, 32, 8, 7, 1e-6, 500)),
+        # three stacks of 4 sites: 50 sweeps leave the first short of 1e-12, the others certify it
+        (["maximal-survey", "--dims", "3", "--sides", "8", "--scales", "0,1", "--trials", "1",
+          "--seed", "7", "--fiber-trials", "3", "--fiber-sites", "4", "--tol", "1e-12",
+          "--max-iter", "50"], (3, 2, 4, 3, 7, 1e-12, 50)),
+    ],
+)
+def test_survey_majorant_rows_equal_the_per_stack_loop(tmp_path, monkeypatch, capsys, argv, oracle):
+    code, _, (_, rows) = captured_run(argv, tmp_path, monkeypatch)
+    expected, fired = per_stack_majorant_rows(*oracle)
+    assert [row for row in rows if row[0] == "majorant"] == expected
+    err = [line for line in capsys.readouterr().err.splitlines() if line.startswith("# majorant ")]
+    assert err == fired
+    assert code == (1 if fired else 0)
+    assert len(fired) == (1 if oracle[5] == 1e-12 else 0)
+
+
+def test_maximal_survey_without_fiber_trials(tmp_path, capsys):
+    code, text = run(MAXIMAL_ARGV[:-4] + ["--fiber-trials", "0"], tmp_path)
+    assert code == 0
+    kinds = [line.split(",")[0] for line in text.splitlines()[1:]]
+    assert kinds == ["ratio_max", "ratio_mean"]
+    assert "# majorant" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

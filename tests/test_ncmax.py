@@ -362,6 +362,77 @@ def test_batch_stopped_by_freezing_every_site_certifies_tol(monkeypatch):
     assert 0.0 <= sol.value - sol.lower_bound <= 1e-6
 
 
+def solution_bits(sol) -> tuple:
+    """Every field of a solution, the majorant as its bytes."""
+    return (sol.value, sol.lower_bound, sol.converged, sol.iterations, sol.site_sweeps,
+            sol.majorant.shape, sol.majorant.tobytes())
+
+
+# (n, family size, seeds of the 1-, 7- and 16-site stacks, tol-0 budget): at tol 0
+# the 1-site stack freezes every site within the budget and the 16-site one runs out
+BATCH_STACKS = [(2, 4, (201, 207, 216), 50), (4, 2, (19, 407, 416), 60)]
+
+
+@pytest.mark.parametrize("n,family,seeds,budget", BATCH_STACKS)
+@pytest.mark.parametrize("tol", [1e-6, 0.0])
+def test_batched_stacks_get_their_lone_bits(n, family, seeds, budget, tol):
+    # each stack freezes against its own sum and stops on its own rule, so the
+    # batch must give every stack each field it gets alone, bit for bit
+    stacks = [random_hermitian_stack(family, sites, n, seed) for sites, seed in zip((1, 7, 16), seeds)]
+    max_iter = budget if tol == 0.0 else 500
+    lone = [order_interval_majorant(stack, 2, tol=tol, max_iter=max_iter) for stack in stacks]
+    batch = ncmax.order_interval_majorants(stacks, 2, tol=tol, max_iter=max_iter)
+    assert [solution_bits(sol) for sol in batch] == [solution_bits(sol) for sol in lone]
+    if tol == 0.0:
+        assert lone[0].converged and lone[0].iterations < budget
+        assert lone[0].site_sweeps == lone[0].iterations  # its one site froze
+        assert not lone[2].converged and lone[2].iterations == budget
+    else:
+        assert all(sol.converged for sol in lone)
+    inf_lone = [order_interval_majorant(stack, INF) for stack in stacks]
+    inf_batch = ncmax.order_interval_majorants(stacks, INF)
+    assert [solution_bits(sol) for sol in inf_batch] == [solution_bits(sol) for sol in inf_lone]
+
+
+def test_stack_batches_fit_the_entry_budget(monkeypatch):
+    # 16, 112, 256 and 112 entries under a budget of 200: the first two share a
+    # batch, the 256-entry stack is solved alone and the last starts a new batch
+    stacks = [random_hermitian_stack(4, sites, 2, 300 + sites) for sites in (1, 7, 16, 7)]
+    whole = ncmax.order_interval_majorants(stacks, 2)
+    solve = ncmax._solve_p2
+    batches = []
+
+    def spy(batch, tol, max_iter):
+        batches.append([stack.sites for stack in batch])
+        return solve(batch, tol, max_iter)
+
+    monkeypatch.setattr(ncmax, "_solve_p2", spy)
+    monkeypatch.setattr(ncmax, "MAX_SITES", 200)
+    # a generator: the stacks are read in order, one batch at a time
+    split = ncmax.order_interval_majorants((stack for stack in stacks), 2)
+    assert batches == [[1, 7], [16], [7]]
+    assert [solution_bits(sol) for sol in split] == [solution_bits(sol) for sol in whole]
+    monkeypatch.setattr(ncmax, "MAX_SITES", 1 << 26)
+    batches.clear()
+    assert [solution_bits(sol) for sol in ncmax.order_interval_majorants(stacks, 2)] == [
+        solution_bits(sol) for sol in whole
+    ]
+    assert batches == [[1, 7, 16, 7]]
+
+
+def test_batch_of_no_stacks_and_of_mixed_stacks():
+    assert ncmax.order_interval_majorants((), 2) == ()
+    assert ncmax.order_interval_majorants(iter(()), INF) == ()
+    base = random_hermitian_stack(3, 4, 2, 1)
+    for other in (random_hermitian_stack(2, 4, 2, 2), random_hermitian_stack(3, 4, 3, 3)):
+        for p in (2, INF):
+            with pytest.raises(DomainError, match="share K and n"):
+                ncmax.order_interval_majorants((base, other), p)
+    # a different site count is fine
+    sols = ncmax.order_interval_majorants((base, random_hermitian_stack(3, 9, 2, 4)), 2)
+    assert [sol.majorant.shape for sol in sols] == [(4, 2, 2), (9, 2, 2)]
+
+
 def _worst_eigenvalue(stack: HermitianStack, majorant: np.ndarray) -> float:
     """Lowest eigenvalue of any a +- x_k, relative to the largest entry of the x_k."""
     xs = stack.matrices
