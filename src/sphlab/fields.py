@@ -12,18 +12,30 @@ symbol at (|m_1|, ..., |m_d|).  Points that coincide mod L (possible once
 2t >= L) keep their multiplicity in the weights w.  Per axis the basis is
 one L x L matrix B, cosine rows first, read at the exact residues
 (m x) mod L; its rows are orthogonal, so B^-1 is B^T over the squared row
-norms (L for m = 0 and m = L/2, L/2 otherwise).  A transform is one BLAS
-matmul per torus axis: the forward pass reads x as (L, rest), contracts
-the leading axis and writes the new one last, so no transpose is copied
-and the non-torus axes (a complex field's (Re, Im) axis, read through the
-float64 view, and any matrix axes) end up first; the inverse pass
-contracts the last axis and writes it first, which restores the field's
-layout.  A symbol is the weights grid transformed by the cosine rows
-only, gathered into basis order by each row's frequency.  One real
-transform takes d L^(d+1) multiply-adds and the basis L^2 doubles; a
-torus whose d L^(d+1) passes ``MAX_DENSE_WORK`` raises
-``InfeasibleScale`` before any allocation, which allows sides up to
-11585, 406, 81, 32, 17 and 11 at d = 1..6.
+norms (L for m = 0 and m = L/2, L/2 otherwise).
+
+A transform takes one pass per torus axis, and every pass is one
+``np.matmul`` over slabs of the torus: torus axis 0 is the batch axis and
+an item is one slab x[i], L^(d-1) values times the non-torus axes (a
+complex field's (Re, Im) axis, read through the float64 view, and any
+matrix axes), small enough to stay in cache.  The forward transform
+contracts axes 1..d-1 batched over axis 0, each pass writing its new axis
+last within the slab, then axis 0 in column slabs, so the non-torus axes
+end up first and the spectrum's torus axes come out rotated by one:
+lead + (m_1, ..., m_{d-1}, m_0).  The inverse mirrors it, axis 0 first,
+then axes d-1..1, which restores the field's layout.  The symbols come
+out of the same forward routine, so their layout matches by construction.
+Where a slab would be thinner than L columns, which happens only at
+d <= 2 with fewer than L non-torus values, batching would turn each item
+into a few gemvs; there axis 0 goes first, one gemm over the whole torus,
+and axis 1 is batched over the non-torus values instead, each item a full
+L x L gemm, which gives the same layout.  A symbol is the weights grid
+transformed by the cosine rows, gathered into basis order by each row's
+frequency; at d >= 3 its axis-0 pass reads each basis row's own cosine
+row, so that axis needs no gather.  One real transform takes d L^(d+1)
+multiply-adds and the basis L^2 doubles; a torus whose d L^(d+1) passes
+``MAX_DENSE_WORK`` raises ``InfeasibleScale`` before any allocation,
+which allows sides up to 11585, 406, 81, 32, 17 and 11 at d = 1..6.
 
 The dyadic maximal function transforms its field once and shares that
 spectrum across its scales, so each scale costs one multiply and one
@@ -153,19 +165,49 @@ def _lead(f: TorusField) -> tuple[int, ...]:
     return _float_view(f).shape[f.d :]
 
 
-def _contract_leading(x: np.ndarray, rows: np.ndarray, buffers) -> np.ndarray:
-    """Contract the leading axis of x with ``rows`` (k x L) once per buffer.
+def _slabs(rest: int, side: int) -> int:
+    """The column slabs of an axis-0 pass over an (L, rest) array.
 
-    Each pass is one gemm, x read as (L, rest) and transposed in place:
-    it writes rest x k into the front of its buffer, so the new axis goes
-    last and the next pass contracts the next torus axis.  Returns the
-    last pass's (rest, k) array.
+    L slabs of rest / L columns where each is at least L columns wide,
+    else one, the whole array.
     """
-    side, k = rows.shape[1], rows.shape[0]
-    for buffer in buffers:
-        rest = x.size // side
-        x = np.matmul(x.reshape(side, rest).T, rows.T, out=buffer[: rest * k].reshape(rest, k))
-    return x
+    return side if rest % side == 0 and rest >= side * side else 1
+
+
+def _forward(x: np.ndarray, rows, outs) -> np.ndarray:
+    """Contract the d torus axes of x, (L,)*d + lead, axis i with ``rows[i]`` (k_i x L).
+
+    ``outs`` holds one flat buffer per pass, large enough for its output;
+    the last pass writes into the last.  Returns that output, lead +
+    (m_1, ..., m_{d-1}, m_0): the non-torus axes first, then the torus
+    axes rotated by one.  Where each slab x[i] holds at least L columns,
+    axes 1..d-1 go first, each one gemm batched over axis 0: an item is
+    the slab read as (L, r) with the axis to contract leading, transposed
+    in place, so the new axis goes last within the slab and the next
+    torus axis leads.  Axis 0 goes last, x read as (L, rest), in the
+    column slabs of ``_slabs``.  A thinner slab (d <= 2 with fewer than L
+    lead values) would make every item a few gemvs, so there axis 0 goes
+    first, one gemm over the whole torus that leaves (x_1, lead, m_0), and
+    axis 1 is batched over the lead values, each item a full L x L gemm.
+    """
+    side = x.shape[0]
+    rest = x.size // side
+    if rest < side * side:
+        k = rows[0].shape[0]
+        x = np.matmul(x.reshape(side, rest).T, rows[0].T, out=outs[0][: rest * k].reshape(rest, k))
+        if len(rows) == 1:
+            return x
+        r, k1 = rest // side, rows[1].shape[0]
+        items = x.reshape(side, r, k).transpose(1, 0, 2)
+        return np.matmul(rows[1], items, out=outs[1][: r * k1 * k].reshape(r, k1, k))
+    for matrix, out in zip(rows[1:], outs):
+        r, k = x.size // (side * side), matrix.shape[0]
+        items = x.reshape(side, side, r).transpose(0, 2, 1)
+        x = np.matmul(items, matrix.T, out=out[: side * r * k].reshape(side, r, k))
+    rest, k = x.size // side, rows[0].shape[0]
+    slabs = _slabs(rest, side)
+    items = x.reshape(side, slabs, rest // slabs).transpose(1, 2, 0)
+    return np.matmul(items, rows[0].T, out=outs[-1][: rest * k].reshape(slabs, rest // slabs, k))
 
 
 class _Scratch:
@@ -180,14 +222,19 @@ class _Scratch:
     - ``work``: two flat buffers of prod(lead) L^d doubles, which the
       passes of a transform alternate between; one scale's product is
       written into the first, and its average ends in either;
-    - ``spectrum``: the field's coefficients, lead + (L,)*d;
+    - ``spectrum``: the field's coefficients, lead + (L,)*d, its torus
+      axes rotated by one: index (..., m_1, ..., m_{d-1}, m_0) holds the
+      coefficient of the basis vector with row m_i on torus axis i;
     - ``maximum``: the running dyadic maximum, (L,)*d;
     - ``symbols``: the read-only sphere symbol of each squared radius in
-      ``lams``, (L,)*d in basis order, keyed by it (``_sphere_symbol``).
-    Whoever builds a scratch owns it: an array read from it is overwritten
-    by its next use.  A torus over the site budget or the dense-work
-    budget raises ``InfeasibleScale`` before any allocation, and an empty
-    sphere raises ``EmptySphere``.
+      ``lams``, (L,)*d in the spectrum's rotated layout, keyed by it
+      (``_sphere_symbol``).
+    Every pass is one ``np.matmul`` over slabs of the torus, batched over
+    torus axis 0 (``_forward``; ``average`` mirrors it).  Whoever builds a
+    scratch owns it: an array read from it is overwritten by its next use.
+    A torus over the site budget or the dense-work budget raises
+    ``InfeasibleScale`` before any allocation, and an empty sphere raises
+    ``EmptySphere``.
     """
 
     def __init__(self, lead: tuple[int, ...], d: int, side: int, lams: tuple[int, ...]) -> None:
@@ -213,37 +260,89 @@ class _Scratch:
     def _sphere_symbol(self, spec: SphereSpec) -> np.ndarray:
         """The eigenvalue of the sphere average on each basis vector, read-only.
 
-        The weights grid, built in ``maximum``, is transformed by the
-        cosine rows only in the work buffers, which no field has used yet;
-        its (L//2 + 1)^d values are then gathered by each row's frequency
-        into the only new array.
+        Built by ``_symbol`` from the sphere's points, so it is laid out as
+        the spectrum is, (m_1, ..., m_{d-1}, m_0); the sphere is symmetric
+        under permuting the axes, so its values would be the same in any
+        order, but a multiplier that is not (``_symbol`` of the points
+        +-e_1, say) is read correctly only in this layout.
         """
         if representation_count(spec) == 0:
             raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
-        points = enumerate_sphere(spec, MAX_SPHERE_POINTS)
+        return self._symbol(enumerate_sphere(spec, MAX_SPHERE_POINTS))
+
+    def _symbol(self, points: np.ndarray) -> np.ndarray:
+        """The multiplier of the mean over ``points`` (N x d), read-only, in the spectrum's layout.
+
+        It is diagonal in the basis only for a point set that is even in
+        every coordinate separately, as a sphere is.  The weights grid,
+        built in ``maximum``, goes through ``_forward`` in the work
+        buffers, which no field has used yet, so its layout is the
+        spectrum's.  At d >= 3 the passes over axes 1..d-1 contract with
+        the cosine rows only, and the pass over axis 0 reads each basis
+        row's own cosine row, so it writes m_0 in basis order; the
+        (L//2 + 1)^(d-1) L values are then gathered along the other axes by
+        each row's frequency into the only new array.  At d <= 2, where
+        sides reach 406 and 11585, those L x L rows cost more than the
+        gather they save, so every pass reads the cosine rows and every
+        axis is gathered.
+        """
         weights = self.maximum
         weights.fill(0.0)
         np.add.at(weights, tuple(np.mod(points, self.side).T), 1.0 / len(points))
         half = self.side // 2 + 1
-        buffers = [self.work[i % 2] for i in range(self.d)]
-        cosines = _contract_leading(weights, self.basis[:half], buffers).reshape((half,) * self.d)
-        symbol = cosines[np.ix_(*(self.freq,) * self.d)]
+        rows, gathered = [self.basis[:half]] * self.d, self.d
+        if self.d > 2:
+            rows[0], gathered = self.basis[self.freq], self.d - 1
+        cosines = _forward(weights, rows, [self.work[i % 2] for i in range(self.d)])
+        symbol = cosines.reshape((half,) * gathered + (self.side,) * (self.d - gathered))[
+            np.ix_(*(self.freq,) * gathered)
+        ]
         symbol.flags.writeable = False
         return symbol
 
     def forward(self, f: TorusField) -> None:
-        """Write f's coefficients into ``spectrum``, one pass per torus axis."""
+        """Write f's coefficients into ``spectrum``, one ``_forward`` pass per torus axis.
+
+        Axes 1..d-1 are contracted first, each one gemm batched over the
+        slabs of torus axis 0, then axis 0 in column slabs, the last pass
+        writing into ``spectrum`` as lead + (m_1, ..., m_{d-1}, m_0); where
+        the slabs are thinner than L columns, axis 0 goes first and axis 1
+        is batched over the lead values.  The passes before the last
+        alternate between the work buffers.
+        """
         buffers = [self.work[i % 2] for i in range(self.d - 1)] + [self.spectrum.reshape(-1)]
-        _contract_leading(_float_view(f), self.basis, buffers)
+        _forward(_float_view(f), [self.basis] * self.d, buffers)
 
     def average(self, lam: int) -> np.ndarray:
-        """The inverse transform of ``spectrum`` times lam's symbol, (L,)*d + lead, in ``work``."""
-        x = np.multiply(self.spectrum, self.symbols[lam], out=self.work[0].reshape(self.spectrum.shape))
-        for i in range(self.d):
-            rest = x.size // self.side
-            out = self.work[(i + 1) % 2].reshape(self.side, rest)
-            x = np.matmul(self.inverse, x.reshape(rest, self.side).T, out=out)
-        return x.reshape((self.side,) * self.d + self.lead)
+        """The inverse transform of ``spectrum`` times lam's symbol, (L,)*d + lead, in ``work``.
+
+        The passes mirror ``_forward``.  Axis 0 goes first: each column
+        slab of the product, read as (rest, L), is contracted with B^-1
+        into a strided view of its columns of the (L, rest) output.  Then
+        axes d-1..1, each one gemm batched over axis 0, an item contracting
+        its slab's last axis and writing the new axis first, which leaves
+        the field's layout.  Where the slabs are thin, axis 1 goes first,
+        batched over the lead values, then axis 0 as one gemm.
+        """
+        side, (a, b) = self.side, self.work
+        x = np.multiply(self.spectrum, self.symbols[lam], out=a.reshape(self.spectrum.shape))
+        rest = x.size // side
+        if rest < side * side:
+            if self.d == 2:  # (x_1, lead, m_0), in b
+                r = rest // side
+                out = b.reshape(side, r, side).transpose(1, 0, 2)
+                np.matmul(self.inverse, x.reshape(r, side, side), out=out)
+                x, b = b, a
+            x = np.matmul(self.inverse, x.reshape(rest, side).T, out=b.reshape(side, rest))
+            return x.reshape((side,) * self.d + self.lead)
+        slabs = _slabs(rest, side)
+        out = b.reshape(side, slabs, rest // slabs).transpose(1, 2, 0)
+        np.matmul(x.reshape(slabs, rest // slabs, side), self.inverse.T, out=out)
+        r = rest // side
+        for _ in range(self.d - 1):
+            np.matmul(self.inverse, b.reshape(side, r, side).transpose(0, 2, 1), out=a.reshape(side, side, r))
+            a, b = b, a
+        return b.reshape((side,) * self.d + self.lead)
 
     def check(self, f: TorusField, lams: tuple[int, ...]) -> None:
         """Raise ``DomainError`` unless f fits the buffers and every sphere in ``lams`` is held."""

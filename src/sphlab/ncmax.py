@@ -362,9 +362,12 @@ def _solve_p2(stacks: list[HermitianStack], tol: float, max_iter: int) -> list[M
         root_b, root_l = np.sqrt(best_sq), np.sqrt(lower_sq)
         spread = (root_b - root_l) * (root_b + root_l)
         freeze = spread * root_total[stack_of] <= 2.0 * tol * lower_sq
-        if freeze.any():
-            live_count = np.bincount(stack_of[~freeze], minlength=count)
-        done = (live_count == 0) | (gap <= tol)
+        # the stop bookkeeping runs only on a sweep that can stop or shrink a stack
+        within = gap <= tol
+        if not freeze.any() and not (within & running).any() and iters < max_iter:
+            continue
+        live_count = np.bincount(stack_of[~freeze], minlength=count)
+        done = (live_count == 0) | within
         stop = running & (done | (iters == max_iter))
         converged |= stop & done
         iterations[stop] = iters

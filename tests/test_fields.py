@@ -366,7 +366,8 @@ def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
         weights = np.zeros((side,) * d)
         np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
         oracle = np.fft.fftn(weights).real[np.ix_(*(freq,) * d)]
-        assert np.abs(symbol - oracle).max() <= 1e-15
+        # in the spectrum's layout, (m_1, ..., m_{d-1}, m_0)
+        assert np.abs(symbol - np.moveaxis(oracle, 0, -1)).max() <= 1e-15
 
 
 def basis_rows(side):
@@ -406,7 +407,8 @@ def test_sphere_average_is_diagonal_in_the_real_basis(d, side, lams):
             d, side, lambda v: roll_spherical_average(TorusField.scalar(v), spec).values
         )
         assert residuals.max() <= 1e-13
-        assert np.abs(multiples - scratch.symbols[lam]).max() <= 1e-13
+        # the symbol's torus axes are rotated by one: (m_1, ..., m_{d-1}, m_0)
+        assert np.abs(multiples - np.moveaxis(scratch.symbols[lam], -1, 0)).max() <= 1e-13
 
 
 def test_half_sphere_average_is_not_diagonal_in_the_real_basis():
@@ -416,6 +418,122 @@ def test_half_sphere_average_is_not_diagonal_in_the_real_basis():
     half = points[points[:, 0] >= 0]
     residuals, _ = basis_residuals(d, side, lambda v: roll_average(v, half))
     assert residuals.max() >= 0.1
+
+
+def random_field(d, side, lead, seed):
+    """A random field whose float64 view has trailing axes ``lead``: (), (2,) or (n, n, 2).
+
+    Nothing about it is symmetric, under reflections or under permuting the axes.
+    """
+    if lead == ():
+        return random_real_scalar(d, side, seed)
+    if lead == (2,):
+        return random_scalar(d, side, seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    shape = (side,) * d + lead[:-1]
+    return TorusField.matrix(d, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def float_values(f):
+    """f's values as float64, complex entries gaining an (Re, Im) axis last."""
+    return f.values[..., np.newaxis].view(np.float64) if np.iscomplexobj(f.values) else f.values
+
+
+def einsum_spectrum(f, rotated=True):
+    """Oracle: f's coefficients by one explicit contraction with ``basis_rows``.
+
+    Laid out as lead + (m_1, ..., m_{d-1}, m_0), the torus axes rotated by
+    one, or as lead + (m_0, ..., m_{d-1}) with ``rotated=False``.
+    """
+    x = float_values(f)
+    torus, lead = "abcdef"[: f.d], "uvwxyz"[: x.ndim - f.d]
+    freq = torus.upper()
+    out = freq[1:] + freq[:1] if rotated else freq
+    rows = [basis_rows(f.side)] * f.d
+    spec = ",".join([torus + lead] + [m + i for m, i in zip(freq, torus)]) + "->" + lead + out
+    return np.einsum(spec, x, *rows)
+
+
+def slabs_are_thin(d, side, lead):
+    """The thin-slab rule: the slabs x[i] hold L^(d-1) prod(lead) < L^2 values, r < L columns each."""
+    return side ** (d - 1) * math.prod(lead) < side * side
+
+
+LEADS = [(), (2,), (2, 2, 2)]
+LEAD_IDS = ["real", "complex", "matrix"]
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+@pytest.mark.parametrize("d,side", [(1, 7), (2, 6), (3, 5), (4, 4)])
+def test_forward_matches_the_einsum_oracle_in_the_rotated_layout(d, side, lead):
+    """``spectrum`` holds the coefficient of row m_i on torus axis i at (..., m_1, ..., m_{d-1}, m_0)."""
+    f = random_field(d, side, lead, 240 + d)
+    scratch = _Scratch(lead, d, side, ())
+    scratch.forward(f)
+    oracle = einsum_spectrum(f)
+    assert scratch.spectrum.shape == oracle.shape == lead + (side,) * d
+    assert np.abs(scratch.spectrum - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    if d > 1:
+        # the layout is read: the unrotated order is another array
+        assert np.abs(scratch.spectrum - einsum_spectrum(f, rotated=False)).max() >= 0.1
+
+
+@pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_anisotropic_multiplier_goes_through_the_same_routine(d, lead):
+    """The mean over +-e_1 alone, not symmetric under permuting the axes, matches the roll oracle.
+
+    Its symbol comes out of the routine that builds the sphere symbols, so
+    it is laid out as the spectrum is.  Negative control: the same values
+    read in the unrotated layout, (m_0, ..., m_{d-1}), average over +-e_2
+    instead and miss the oracle.
+    """
+    side = 7
+    points = np.zeros((2, d), dtype=np.int64)
+    points[:, 0] = (1, -1)
+    f = random_field(d, side, lead, 250 + d)
+    scratch = _Scratch(lead, d, side, ())
+    symbol = scratch._symbol(points)
+    scratch.symbols["e1"] = symbol
+    scratch.symbols["e1 unrotated"] = np.moveaxis(symbol, -1, 0)
+    scratch.forward(f)
+    oracle = float_values(TorusField(d, roll_average(f.values, points)))
+    assert np.abs(scratch.average("e1") - oracle).max() <= 1e-12
+    assert np.abs(scratch.average("e1 unrotated") - oracle).max() >= 0.1
+
+
+@pytest.mark.parametrize(
+    "d,side,lead,thin",
+    [
+        (2, 12, (), True),
+        (2, 12, (2,), True),
+        (2, 12, (2, 2, 2), True),
+        (2, 1, (), False),
+        (2, 2, (2,), False),
+        (2, 6, (2, 2, 2), False),
+        (3, 5, (), False),
+        (3, 5, (2,), False),
+        (3, 5, (2, 2, 2), False),
+        (3, 2, (), False),
+    ],
+)
+def test_both_pass_shapes_match_their_oracles(d, side, lead, thin):
+    """Thin slabs (one gemm over the whole torus first) and slab batches give the same averages.
+
+    d = 2 takes either side of the rule with each lead; at d = 3 every
+    slab holds at least L columns, so only the batched side is reachable.
+    Each shape's spectrum matches the einsum oracle and its averages the
+    roll oracle.
+    """
+    assert slabs_are_thin(d, side, lead) == thin
+    f = random_field(d, side, lead, 260 + d + side)
+    scratch = _Scratch(lead, d, side, ())
+    scratch.forward(f)
+    oracle = einsum_spectrum(f)
+    assert np.abs(scratch.spectrum - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    for lam in (1, 2, 4):
+        spec = SphereSpec(d, lam)
+        assert np.abs(spherical_average(f, spec).values - roll_spherical_average(f, spec).values).max() <= 1e-12
 
 
 def test_dense_work_budget_admits_its_largest_side():
