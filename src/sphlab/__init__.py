@@ -43,6 +43,7 @@ from .lattice import (
     SphereSpec,
     density_ratio,
     enumerate_sphere,
+    nonempty_count,
     representation_count,
     sphere_counts,
     surface_measure,

@@ -25,17 +25,13 @@ end up first and the spectrum's torus axes come out rotated by one:
 lead + (m_1, ..., m_{d-1}, m_0).  The inverse mirrors it, axis 0 first,
 then axes d-1..1, which restores the field's layout.  The symbols come
 out of the same forward routine, so their layout matches by construction.
-Where a slab would be thinner than L columns, which happens only at
-d <= 2 with fewer than L non-torus values, batching would turn each item
-into a few gemvs; there axis 0 goes first, one gemm over the whole torus,
-and axis 1 is batched over the non-torus values instead, each item a full
-L x L gemm, which gives the same layout.  A symbol is the weights grid
-transformed by the cosine rows, gathered into basis order by each row's
-frequency; at d >= 3 its axis-0 pass reads each basis row's own cosine
-row, so that axis needs no gather.  One real transform takes d L^(d+1)
-multiply-adds and the basis L^2 doubles; a torus whose d L^(d+1) passes
-``MAX_DENSE_WORK`` raises ``InfeasibleScale`` before any allocation,
-which allows sides up to 11585, 406, 81, 32, 17 and 11 at d = 1..6.
+A symbol is the weights grid transformed by the cosine rows, gathered
+into basis order by each row's frequency; at d >= 3 its axis-0 pass
+reads each basis row's own cosine row, so that axis needs no gather.  One
+real transform takes d L^(d+1) multiply-adds and the basis L^2 doubles;
+a torus whose d L^(d+1) passes ``MAX_DENSE_WORK`` raises
+``InfeasibleScale`` before any allocation, which allows sides up to
+11585, 406, 81, 32, 17 and 11 at d = 1..6.
 
 The dyadic maximal function transforms its field once and shares that
 spectrum across its scales, so each scale costs one multiply and one
@@ -58,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySphere, InfeasibleScale
-from .lattice import SphereSpec, enumerate_sphere, representation_count
+from .errors import DomainError, InfeasibleScale
+from .lattice import SphereSpec, enumerate_sphere, nonempty_count
 
 __all__ = [
     "MAX_SITES",
@@ -180,26 +176,13 @@ def _forward(x: np.ndarray, rows, outs) -> np.ndarray:
     ``outs`` holds one flat buffer per pass, large enough for its output;
     the last pass writes into the last.  Returns that output, lead +
     (m_1, ..., m_{d-1}, m_0): the non-torus axes first, then the torus
-    axes rotated by one.  Where each slab x[i] holds at least L columns,
-    axes 1..d-1 go first, each one gemm batched over axis 0: an item is
-    the slab read as (L, r) with the axis to contract leading, transposed
-    in place, so the new axis goes last within the slab and the next
-    torus axis leads.  Axis 0 goes last, x read as (L, rest), in the
-    column slabs of ``_slabs``.  A thinner slab (d <= 2 with fewer than L
-    lead values) would make every item a few gemvs, so there axis 0 goes
-    first, one gemm over the whole torus that leaves (x_1, lead, m_0), and
-    axis 1 is batched over the lead values, each item a full L x L gemm.
+    axes rotated by one.  Axes 1..d-1 go first, each one gemm batched over
+    axis 0: an item is the slab x[i] read as (L, r) with the axis to
+    contract leading, transposed in place, so the new axis goes last
+    within the slab and the next torus axis leads.  Axis 0 goes last, x
+    read as (L, rest), in the column slabs of ``_slabs``.
     """
     side = x.shape[0]
-    rest = x.size // side
-    if rest < side * side:
-        k = rows[0].shape[0]
-        x = np.matmul(x.reshape(side, rest).T, rows[0].T, out=outs[0][: rest * k].reshape(rest, k))
-        if len(rows) == 1:
-            return x
-        r, k1 = rest // side, rows[1].shape[0]
-        items = x.reshape(side, r, k).transpose(1, 0, 2)
-        return np.matmul(rows[1], items, out=outs[1][: r * k1 * k].reshape(r, k1, k))
     for matrix, out in zip(rows[1:], outs):
         r, k = x.size // (side * side), matrix.shape[0]
         items = x.reshape(side, side, r).transpose(0, 2, 1)
@@ -247,8 +230,10 @@ class _Scratch:
         residues = np.outer(self.freq, np.arange(side))
         residues %= side
         angles = (2.0 * math.pi / side) * np.arange(side)
-        self.basis = np.cos(angles)[residues]
-        self.basis[half:] = np.sin(angles)[residues[half:]]
+        self.basis = np.empty((side, side))
+        # mode="clip" writes straight into out=; every residue is in range
+        np.take(np.cos(angles), residues[:half], out=self.basis[:half], mode="clip")
+        np.take(np.sin(angles), residues[half:], out=self.basis[half:], mode="clip")
         del residues
         self.inverse = self.basis.T / np.where(2 * self.freq % side == 0, side, side / 2.0)
         size = math.prod(lead) * side**d
@@ -266,8 +251,7 @@ class _Scratch:
         order, but a multiplier that is not (``_symbol`` of the points
         +-e_1, say) is read correctly only in this layout.
         """
-        if representation_count(spec) == 0:
-            raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
+        nonempty_count(spec)
         return self._symbol(enumerate_sphere(spec, MAX_SPHERE_POINTS))
 
     def _symbol(self, points: np.ndarray) -> np.ndarray:
@@ -281,10 +265,9 @@ class _Scratch:
         the cosine rows only, and the pass over axis 0 reads each basis
         row's own cosine row, so it writes m_0 in basis order; the
         (L//2 + 1)^(d-1) L values are then gathered along the other axes by
-        each row's frequency into the only new array.  At d <= 2, where
-        sides reach 406 and 11585, those L x L rows cost more than the
-        gather they save, so every pass reads the cosine rows and every
-        axis is gathered.
+        each row's frequency into the only new array.  At d <= 2 those
+        rows would be an L x L temporary, 1 GiB at side 11585, so every
+        pass reads the cosine rows and every axis is gathered.
         """
         weights = self.maximum
         weights.fill(0.0)
@@ -305,10 +288,8 @@ class _Scratch:
 
         Axes 1..d-1 are contracted first, each one gemm batched over the
         slabs of torus axis 0, then axis 0 in column slabs, the last pass
-        writing into ``spectrum`` as lead + (m_1, ..., m_{d-1}, m_0); where
-        the slabs are thinner than L columns, axis 0 goes first and axis 1
-        is batched over the lead values.  The passes before the last
-        alternate between the work buffers.
+        writing into ``spectrum`` as lead + (m_1, ..., m_{d-1}, m_0).  The
+        passes before the last alternate between the work buffers.
         """
         buffers = [self.work[i % 2] for i in range(self.d - 1)] + [self.spectrum.reshape(-1)]
         _forward(_float_view(f), [self.basis] * self.d, buffers)
@@ -321,20 +302,11 @@ class _Scratch:
         into a strided view of its columns of the (L, rest) output.  Then
         axes d-1..1, each one gemm batched over axis 0, an item contracting
         its slab's last axis and writing the new axis first, which leaves
-        the field's layout.  Where the slabs are thin, axis 1 goes first,
-        batched over the lead values, then axis 0 as one gemm.
+        the field's layout.
         """
         side, (a, b) = self.side, self.work
         x = np.multiply(self.spectrum, self.symbols[lam], out=a.reshape(self.spectrum.shape))
         rest = x.size // side
-        if rest < side * side:
-            if self.d == 2:  # (x_1, lead, m_0), in b
-                r = rest // side
-                out = b.reshape(side, r, side).transpose(1, 0, 2)
-                np.matmul(self.inverse, x.reshape(r, side, side), out=out)
-                x, b = b, a
-            x = np.matmul(self.inverse, x.reshape(rest, side).T, out=b.reshape(side, rest))
-            return x.reshape((side,) * self.d + self.lead)
         slabs = _slabs(rest, side)
         out = b.reshape(side, slabs, rest // slabs).transpose(1, 2, 0)
         np.matmul(x.reshape(slabs, rest // slabs, side), self.inverse.T, out=out)

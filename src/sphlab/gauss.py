@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import fft
 
-from .errors import DomainError, EmptySphere, InfeasibleScale, RangeError
-from .lattice import SphereSpec, representation_count, surface_measure
+from .errors import DomainError, InfeasibleScale, RangeError
+from .lattice import SphereSpec, nonempty_count, surface_measure
 from .symbols import continuous_sphere_symbol_batch, nearest_lattice, sphere_multiplier_batch
 
 __all__ = [
@@ -193,9 +193,7 @@ def _arc_terms(spec: SphereSpec, fracs, xis: np.ndarray) -> tuple[np.ndarray, np
     window is THETA(q xi - [[q xi]]).  Only the lattice point [[q xi]] can
     fall inside the window: its support has half-width 1/4.
     """
-    count = representation_count(spec)
-    if count == 0:
-        raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
+    count = nonempty_count(spec)
     d, lam = spec.d, spec.lam
     ps = np.array([f.p % f.q for f in fracs], dtype=np.int64)
     qs = np.array([f.q for f in fracs], dtype=np.int64)
@@ -277,10 +275,6 @@ class DecompositionReport:
     minor_term: complex
     total_error: complex
     paper_bound: float
-
-    @property
-    def multiplier_value(self) -> complex:
-        return self.major_sum + self.minor_term + self.total_error
 
 
 @dataclass(frozen=True, eq=False)

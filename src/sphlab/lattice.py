@@ -21,6 +21,7 @@ __all__ = [
     "theta_coefficients",
     "sphere_counts",
     "representation_count",
+    "nonempty_count",
     "enumerate_sphere",
     "surface_measure",
     "density_ratio",
@@ -107,6 +108,14 @@ def representation_count(spec: SphereSpec) -> int:
     return sphere_counts(spec.d, spec.lam)[spec.lam]
 
 
+def nonempty_count(spec: SphereSpec) -> int:
+    """r_d(lam), which is positive; raises EmptySphere when the sphere holds no lattice point."""
+    count = representation_count(spec)
+    if count == 0:
+        raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
+    return count
+
+
 def _ragged_arange(starts, counts: np.ndarray) -> np.ndarray:
     """The ranges starts[i], ..., starts[i] + counts[i] - 1, concatenated."""
     offsets = np.cumsum(counts) - counts
@@ -189,7 +198,4 @@ def density_ratio(spec: SphereSpec) -> float:
     Correctly rounded, so it is finite wherever the true ratio is.  Raises
     EmptySphere when r_d(lam) = 0.
     """
-    count = representation_count(spec)
-    if count == 0:
-        raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
-    return _ratio_from_count(spec.d, spec.lam, count)
+    return _ratio_from_count(spec.d, spec.lam, nonempty_count(spec))

@@ -17,8 +17,8 @@ import numpy as np
 from numpy import fft
 from numpy.random import Generator, Philox
 
-from .errors import DomainError, EmptySphere, InfeasibleScale, RegimeViolation
-from .lattice import SphereSpec, representation_count
+from .errors import DomainError, InfeasibleScale, RegimeViolation
+from .lattice import SphereSpec, nonempty_count
 
 __all__ = [
     "periodic_norm",
@@ -72,9 +72,7 @@ def sphere_multiplier_batch(spec: SphereSpec, xis: np.ndarray) -> np.ndarray:
     floating-point operations on every row are those of the full passes.
     Non-finite frequencies and arrays that are not (N, d) raise DomainError.
     """
-    count = representation_count(spec)
-    if count == 0:
-        raise EmptySphere(f"no lattice points with |x|^2 = {spec.lam} in Z^{spec.d}")
+    count = nonempty_count(spec)
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     if xis.ndim != 2 or xis.shape[1] != spec.d:
         raise DomainError(f"frequencies must be an (N, {spec.d}) array, got shape {xis.shape}")

@@ -327,17 +327,36 @@ def test_public_calls_return_arrays_of_their_own():
         assert np.array_equal(average.values, kept)
 
 
-def test_sphere_symbol_owns_a_real_copy():
-    scratch = _Scratch((), 3, 8, (4,))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sphere_symbol_owns_a_real_copy(d):
+    """At d <= 2 every axis of a symbol is gathered, at d = 3 all but axis 0; both copy."""
+    scratch = _Scratch((), d, 8, (4,))
     symbol = scratch.symbols[4]
-    assert symbol.dtype == np.float64 and symbol.shape == (8, 8, 8)
+    assert symbol.dtype == np.float64 and symbol.shape == (8,) * d
     assert symbol.flags.owndata and not symbol.flags.writeable
     # the spectrum's layout: one value per basis vector, C order
     assert symbol.flags.c_contiguous
     buffers = (*scratch.work, scratch.spectrum, scratch.maximum)
     assert not any(np.shares_memory(symbol, buffer) for buffer in buffers)
     with pytest.raises(EmptySphere):
-        _Scratch((), 3, 8, (4, 7))
+        _Scratch((), d, 8, (4, 7))
+
+
+@pytest.mark.parametrize("side", [2, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_checkerboard_is_an_eigenvector_on_the_smallest_tori(d, side):
+    """chi(x) = (-1)^(x_1 + ... + x_d) averages to (-1)^(t^2) chi over every sphere.
+
+    chi(x - y) = chi(x) (-1)^(y_1 + ... + y_d), and y_1 + ... + y_d = |y|^2
+    mod 2.  With 2t >= L, sphere points coincide mod L and keep their
+    multiplicity; the roll oracle shifts once per point.
+    """
+    chi = TorusField.scalar(np.indices((side,) * d).sum(axis=0) % 2 * -2.0 + 1.0)
+    for t in (1, 2, 3):
+        spec = SphereSpec(d, t * t)
+        average = spherical_average(chi, spec).values
+        assert np.abs(average - (-1) ** (t * t) * chi.values).max() <= 1e-15
+        assert np.abs(average - roll_spherical_average(chi, spec).values).max() <= 1e-15
 
 
 def basis_frequencies(side):
@@ -455,7 +474,7 @@ def einsum_spectrum(f, rotated=True):
 
 
 def slabs_are_thin(d, side, lead):
-    """The thin-slab rule: the slabs x[i] hold L^(d-1) prod(lead) < L^2 values, r < L columns each."""
+    """Whether the slabs x[i] hold L^(d-1) prod(lead) < L^2 values, r < L columns each."""
     return side ** (d - 1) * math.prod(lead) < side * side
 
 
@@ -518,12 +537,12 @@ def test_anisotropic_multiplier_goes_through_the_same_routine(d, lead):
     ],
 )
 def test_both_pass_shapes_match_their_oracles(d, side, lead, thin):
-    """Thin slabs (one gemm over the whole torus first) and slab batches give the same averages.
+    """Thin slabs (r < L columns) and wide ones go through the one slab-batched route.
 
-    d = 2 takes either side of the rule with each lead; at d = 3 every
-    slab holds at least L columns, so only the batched side is reachable.
-    Each shape's spectrum matches the einsum oracle and its averages the
-    roll oracle.
+    d = 2 gives either width with each lead; at d = 3 every slab holds at
+    least L columns.  A thin slab's items are a few columns wide, one at
+    r = 1.  Each shape's spectrum matches the einsum oracle and its
+    averages the roll oracle.
     """
     assert slabs_are_thin(d, side, lead) == thin
     f = random_field(d, side, lead, 260 + d + side)
