@@ -9,11 +9,9 @@ scale.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import hashlib
 import importlib.resources
-import io
 import math
 import os
 import sys
@@ -34,19 +32,20 @@ MAXRATIO_REGRESSION_TOL = 1e-8
 
 
 def _write_csv(args, header: list[str], rows: list[list]) -> None:
-    """Write the header and rows as CSV, in one pass.
+    """Write the header and rows as CSV text, built whole and written once.
 
-    Rows hold Python scalars: csv writes a float as its repr (the shortest
-    string that reads back to the same float) and any other value by str.
+    Rows hold Python scalars, none containing a comma, quote or line break,
+    so no field needs quoting: a float is written as its repr (the shortest
+    string that reads back to the same float) and any other value by str,
+    as ``csv.writer`` writes such fields.
     """
-    buf = io.StringIO()
+    lines = []
     if not args.no_banner:
         stamp = datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-        buf.write(f"# sphlab {args.command} {stamp}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
+        lines.append(f"# sphlab {args.command} {stamp}")
+    lines.append(",".join(header))
+    lines += [",".join([repr(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
+    text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

@@ -193,6 +193,25 @@ def _forward(x: np.ndarray, rows, outs) -> np.ndarray:
     return np.matmul(items, rows[0].T, out=outs[-1][: rest * k].reshape(slabs, rest // slabs, k))
 
 
+def _real_basis(side: int) -> np.ndarray:
+    """B, the real Fourier basis of Z_side as rows: cos m for m = 0..L//2, then sin m for m = 1..(L-1)//2.
+
+    Row m at x reads cos or sin at the exact residue (m x) mod L.  The sine
+    rows reuse the residues of cosine rows 1..(L-1)//2, so only the L//2 + 1
+    distinct rows of residues are built, as intp: ``np.take`` would copy
+    narrower indices into an intp array of the same shape.
+    """
+    half = side // 2 + 1
+    residues = np.outer(np.arange(half), np.arange(side))
+    residues %= side
+    angles = (2.0 * math.pi / side) * np.arange(side)
+    basis = np.empty((side, side))
+    # mode="clip" writes straight into out=; every residue is in range
+    np.take(np.cos(angles), residues, out=basis[:half], mode="clip")
+    np.take(np.sin(angles), residues[1 : side - half + 1], out=basis[half:], mode="clip")
+    return basis
+
+
 class _Scratch:
     """Transform buffers, basis and sphere symbols for fields of one shape on one torus.
 
@@ -226,15 +245,7 @@ class _Scratch:
         self.lead, self.d, self.side = lead, d, side
         half = side // 2 + 1
         self.freq = np.r_[0:half, 1 : (side + 1) // 2]
-        # row m at x reads cos or sin at the exact residue (m x) mod L
-        residues = np.outer(self.freq, np.arange(side))
-        residues %= side
-        angles = (2.0 * math.pi / side) * np.arange(side)
-        self.basis = np.empty((side, side))
-        # mode="clip" writes straight into out=; every residue is in range
-        np.take(np.cos(angles), residues[:half], out=self.basis[:half], mode="clip")
-        np.take(np.sin(angles), residues[half:], out=self.basis[half:], mode="clip")
-        del residues
+        self.basis = _real_basis(side)
         self.inverse = self.basis.T / np.where(2 * self.freq % side == 0, side, side / 2.0)
         size = math.prod(lead) * side**d
         self.work = (np.empty(size), np.empty(size))

@@ -18,7 +18,7 @@ from numpy import fft
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, InfeasibleScale, RegimeViolation
-from .lattice import SphereSpec, nonempty_count
+from .lattice import SphereSpec, nonempty_count, sphere_counts
 
 __all__ = [
     "periodic_norm",
@@ -68,8 +68,11 @@ def sphere_multiplier_batch(spec: SphereSpec, xis: np.ndarray) -> np.ndarray:
     max(1, 2**15 // (lam + 1)), so the kernel's memory is bounded per block
     instead of growing as N x lam.  The first factor is scattered directly
     (its Kahan adds onto the product 1 are exact) and the last factor
-    computes only the z^lam coefficient, with the same Kahan recurrence; the
-    floating-point operations on every row are those of the full passes.
+    computes only the z^lam coefficient, with the same Kahan recurrence.  A
+    middle factor with a list from ``_reachable_degrees`` runs that
+    recurrence on the listed degrees only; every other degree of its product
+    is 0 or never read again.  So every degree that reaches z^lam gets the
+    floating-point operations of the full passes, and every row the bits.
     Non-finite frequencies and arrays that are not (N, d) raise DomainError.
     """
     count = nonempty_count(spec)
@@ -83,15 +86,57 @@ def sphere_multiplier_batch(spec: SphereSpec, xis: np.ndarray) -> np.ndarray:
     if lam == 0:
         return np.ones(nbatch)
     ks = np.arange(1, math.isqrt(lam) + 1)
+    squares = ks * ks
+    # each listed factor's degrees, and for each k the offset of its first degree >= k^2
+    listed = {}
+    for j, dest in _reachable_degrees(spec.d, lam).items():
+        starts = np.searchsorted(dest, squares)
+        listed[j] = dest, starts[starts < len(dest)].tolist()
     rows = max(1, _BLOCK_ENTRIES // (lam + 1))
     coeff = np.empty(nbatch)
     for start in range(0, nbatch, rows):
-        coeff[start : start + rows] = _sphere_coefficient_block(xis[start : start + rows], ks, lam)
+        coeff[start : start + rows] = _sphere_coefficient_block(xis[start : start + rows], ks, lam, listed)
     return coeff / count
 
 
-def _sphere_coefficient_block(xis: np.ndarray, ks: np.ndarray, lam: int) -> np.ndarray:
-    """The unnormalized z^lam coefficients for one block of frequency rows."""
+def _reachable_degrees(d: int, lam: int) -> dict[int, np.ndarray]:
+    """The sorted degrees middle factor j must hold, for each j that need not hold every one.
+
+    After factor 1 the product of factors 0 and 1 is 0 outside the sums of
+    two squares S_2.  From factor d - 3 on, the d - 1 - j factors still to
+    come add d - 1 - j squares, so only degrees i with lam - i in
+    S_(d-1-j) are read on the way to z^lam.  S_1 and S_2 are the degrees
+    with positive exact counts r_1 and r_2.
+    """
+    if d < 3:
+        return {}
+    reachable = {m: np.array(sphere_counts(m, lam)) > 0 for m in (1, 2)}
+    lists = {}
+    for j in range(1, d - 1):
+        keep = np.ones(lam + 1, dtype=bool)
+        if j == 1:
+            keep &= reachable[2]
+        if d - 1 - j <= 2:
+            keep &= reachable[d - 1 - j][::-1]
+        if not keep.all():
+            lists[j] = np.flatnonzero(keep)
+    return lists
+
+
+def _kahan_add(y: np.ndarray, total: np.ndarray, comp: np.ndarray, out: np.ndarray) -> None:
+    """y -= c; out = s + y; c = (out - s) - y: the compensated add of y onto the sum s, in place."""
+    np.subtract(y, comp, out=y)
+    np.add(total, y, out=out)
+    np.subtract(out, total, out=comp)
+    np.subtract(comp, y, out=comp)
+
+
+def _sphere_coefficient_block(xis: np.ndarray, ks: np.ndarray, lam: int, listed: dict) -> np.ndarray:
+    """The unnormalized z^lam coefficients for one block of frequency rows.
+
+    ``listed`` maps a middle factor j to its sorted degrees and, per k, the
+    offset of the first of them >= k^2, for each k that has one.
+    """
     nrows, d = xis.shape
     squares = ks * ks
 
@@ -106,21 +151,36 @@ def _sphere_coefficient_block(xis: np.ndarray, ks: np.ndarray, lam: int) -> np.n
     comp = np.empty_like(poly)
     y = np.empty_like(poly)
     t = np.empty_like(poly)
+    sources = np.empty(lam + 1, dtype=np.intp)
     for j in range(1, d - 1):
-        np.copyto(new, poly)  # k = 0 contribution
-        comp.fill(0.0)
-        for w, sq in zip(weights(j), squares):  # y = w p - c; t = s + y; c = (t - s) - y; s = t
-            n = lam + 1 - sq
-            yk, tk, cs, ns = y[:n], t[sq:], comp[sq:], new[sq:]
-            np.multiply(poly[:n], w, out=yk)
-            np.subtract(yk, cs, out=yk)
-            np.add(ns, yk, out=tk)
-            np.subtract(tk, ns, out=cs)
-            np.subtract(cs, yk, out=cs)
-            # t holds the sum from degree sq on; its head is the sum's unchanged head
-            np.copyto(t[:sq], new[:sq])
-            new, t = t, new
-        poly, new = new, poly
+        if j not in listed:
+            np.copyto(new, poly)  # k = 0 contribution
+            comp.fill(0.0)
+            for w, sq in zip(weights(j), squares):
+                n = lam + 1 - sq
+                np.multiply(poly[:n], w, out=y[:n])
+                _kahan_add(y[:n], new[sq:], comp[sq:], t[sq:])
+                # t holds the sum from degree sq on; its head is the sum's unchanged head
+                np.copyto(t[:sq], new[:sq])
+                new, t = t, new
+            poly, new = new, poly
+        else:
+            # the same recurrence on the listed degrees, packed into the buffers' fronts
+            dest, starts = listed[j]
+            n = len(dest)
+            total, spare, cs = new[:n], t[:n], comp[:n]
+            # mode="clip" writes straight into out=; every index is in range
+            np.take(poly, dest, axis=0, out=total, mode="clip")
+            cs.fill(0.0)
+            for w, sq, start in zip(weights(j), squares, starts):
+                src = np.subtract(dest[start:], sq, out=sources[: n - start])
+                yk = np.take(poly, src, axis=0, out=y[: n - start], mode="clip")
+                np.multiply(yk, w, out=yk)
+                _kahan_add(yk, total[start:], cs[start:], spare[start:])
+                np.copyto(spare[:start], total[:start])
+                total, spare = spare, total
+            poly.fill(0.0)
+            poly[dest] = total
     if d == 1:
         return poly[lam]
     # the last factor: the same recurrence at the z^lam coefficient only

@@ -658,6 +658,66 @@ def test_csv_writer_formats_edge_floats_as_repr(tmp_path):
     assert text == per_cell_csv(header, [[np.float64(x), np.float64(y), *rest] for x, y, *rest in rows])
 
 
+def csv_module_text(header, rows) -> str:
+    """Oracle: the rows through ``csv.writer``, the route the CLI wrote its CSV by before it built the text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+README_COMMANDS = [
+    ["verify-gauss", "--qmax", "12", "--d", "8"],
+    ["residual", "--regime", "small", "--d", "25", "--lambda", "1", "--samples", "1000", "--seed", "42"],
+    ["residual", "--regime", "intermediate", "--d", "10", "--lambda", "1000", "--samples", "200", "--seed", "42"],
+    ["residual", "--regime", "folded", "--d", "16", "--lambda", "4", "--samples", "1000", "--seed", "42"],
+    ["ratio-survey", "--d", "4", "--lambdas", "1,2,3,4,5"],
+    ["decompose", "--d", "2", "--lambda", "4", "--nmin", "1", "--nmax", "3", "--samples", "2", "--seed", "7"],
+    README_MAXIMAL[:-4],
+    ["maximal-survey", "--dims", "2", "--sides", "16", "--scales", "0,1,2", "--trials", "1", "--seed", "7",
+     "--fiber-trials", "1", "--fiber-sites", "2048"],
+]
+# the benchmark's surveys jobs not already above; its ratio window starts at a seeded
+# lambda in 980..1020 and its decompose seeds are drawn, so these cover every draw's shape
+SURVEYS_COMMANDS = [
+    *(["residual", "--regime", "folded", "--d", str(d), "--lambda", str(lam), "--samples", "1000", "--seed", "42"]
+      for d in (8, 16) for lam in (1, 4, 16) if (d, lam) != (16, 4)),
+    ["ratio-survey", "--d", "8", "--lambdas", ",".join(map(str, range(980, 1060)))],
+    ["decompose", "--d", "5", "--lambda", "1024", "--nmax", "33", "--samples", "2", "--seed", "1"],
+    ["decompose", "--d", "8", "--lambda", "400", "--nmax", "21", "--samples", "2", "--seed", "2"],
+    ["verify-gauss", "--qmax", "48", "--d", "8"],
+]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS + SURVEYS_COMMANDS, ids=" ".join)
+def test_csv_text_equals_the_csv_module_writer(tmp_path, monkeypatch, argv):
+    code, text, (header, rows) = captured_run(argv, tmp_path, monkeypatch)
+    assert code == 0 and rows
+    assert text == csv_module_text(header, rows)
+
+
+def test_banner_precedes_the_csv_module_text(tmp_path):
+    out = tmp_path / "banner.csv"
+    rows = [[1, 0.5, "ok"], [2, 1e-300, ""]]
+    cli._write_csv(argparse.Namespace(command="edges", no_banner=False, out=str(out)), ["n", "x", "s"], rows)
+    banner, rest = out.read_text().split("\n", 1)
+    assert banner.startswith("# sphlab edges ") and banner.endswith("Z")
+    assert rest == csv_module_text(["n", "x", "s"], rows)
+
+
+@pytest.mark.parametrize("field", ["a,b", 'say "hi"', "two\nlines"])
+def test_fields_the_csv_module_would_quote_make_the_writers_differ(tmp_path, field):
+    # the CLI never writes such a field; the csv module quotes it, the CLI's join does not
+    out = tmp_path / "quoted.csv"
+    rows = [[1, 0.25, "plain"], [2, 0.5, field]]
+    cli._write_csv(argparse.Namespace(command="edges", no_banner=True, out=str(out)), ["n", "x", "s"], rows)
+    assert out.read_text() != csv_module_text(["n", "x", "s"], rows)
+    plain = rows[:1]
+    cli._write_csv(argparse.Namespace(command="edges", no_banner=True, out=str(out)), ["n", "x", "s"], plain)
+    assert out.read_text() == csv_module_text(["n", "x", "s"], plain)
+
+
 @pytest.mark.parametrize("argv", [RESIDUAL_SMALL, RESIDUAL_INTERMEDIATE, RESIDUAL_ARGV])
 def test_residual_hashes_equal_per_row_hashes(tmp_path, monkeypatch, argv):
     _, _, (_, rows) = captured_run(argv, tmp_path, monkeypatch)

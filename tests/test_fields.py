@@ -18,7 +18,7 @@ from sphlab import (
     eval_semigroup_symbol,
     spherical_average,
 )
-from sphlab.fields import MAX_DENSE_WORK, MAX_SPHERE_POINTS, _Scratch
+from sphlab.fields import MAX_DENSE_WORK, MAX_SPHERE_POINTS, _Scratch, _real_basis
 from test_symbols import direct_sphere_multiplier
 from transference import (
     apply_multiplier,
@@ -571,6 +571,50 @@ def test_dense_work_budget_admits_its_largest_side():
     finally:
         tracemalloc.stop()
     assert peak <= 0.01 * 33**4 * 8
+
+
+def outer_product_basis(side: int) -> np.ndarray:
+    """Oracle: the basis read at an L x L int64 table of residues (m x) mod L, one row per basis row."""
+    half = side // 2 + 1
+    freq = np.r_[0:half, 1 : (side + 1) // 2]
+    residues = np.outer(freq, np.arange(side))
+    residues %= side
+    angles = (2.0 * math.pi / side) * np.arange(side)
+    basis = np.empty((side, side))
+    np.take(np.cos(angles), residues[:half], out=basis[:half], mode="clip")
+    np.take(np.sin(angles), residues[half:], out=basis[half:], mode="clip")
+    return basis
+
+
+@pytest.mark.parametrize("d, side", [(1, 2048), (2, 406), (5, 12), (1, 7)])
+def test_basis_reads_the_residues_of_its_distinct_rows(d, side):
+    scratch = _Scratch((), d, side, ())
+    basis = outer_product_basis(side)
+    norms = np.where(2 * scratch.freq % side == 0, side, side / 2.0)
+    assert np.array_equal(scratch.basis.view(np.uint64), basis.view(np.uint64))
+    assert np.array_equal(scratch.inverse.view(np.uint64), (basis.T / norms).view(np.uint64))
+
+
+def test_basis_builds_only_the_distinct_rows_of_residues():
+    """At side 2048 the residues of rows 0..L//2 take 16 MiB where the L x L table took 32 MiB.
+
+    The whole scratch build peaks at the basis and its inverse either way,
+    so the saving shows in the basis build's own peak: the L - L//2 - 1
+    rows of int64 residues it no longer builds.
+    """
+    side = 2048
+    peaks = []
+    for build in (_real_basis, outer_product_basis):
+        tracemalloc.start()
+        try:
+            build(side)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    basis_bytes, half_table = side * side * 8, (side // 2 + 1) * side * 8
+    assert peaks[0] <= basis_bytes + half_table + 2**20
+    assert peaks[1] - peaks[0] >= 0.99 * (side - side // 2 - 1) * side * 8
 
 
 def test_scratch_shape_and_spheres_are_checked():

@@ -25,7 +25,7 @@ from sphlab import (
     sphere_multiplier_batch,
 )
 from sphlab import symbols
-from sphlab.symbols import _BLOCK_ENTRIES, fit_small_scale_constant
+from sphlab.symbols import _BLOCK_ENTRIES, _reachable_degrees, fit_small_scale_constant
 from transference import reduce_to_torus
 
 
@@ -150,6 +150,17 @@ def block_rows(lam: int) -> int:
         (4, 300, block_rows(300)),  # exactly one block
         (4, 300, 3 * block_rows(300) + 17),  # several blocks, the last one ragged
         (3, 40000, 3),  # lam + 1 > 2**15: one row per block
+        # middle factors on their listed degrees only
+        (3, 300, 7),
+        (3, 1024, 5),
+        (4, 1024, 6),
+        (5, 300, 9),
+        (5, 1024, 2 * block_rows(1024) + 3),
+        (10, 1000, 2 * block_rows(1000) + 5),
+        # lam = 1: every list would be full, so every factor runs contiguous passes
+        (3, 1, 4),
+        (4, 1, 4),
+        (6, 1, 4),
     ],
 )
 def test_multiplier_matches_row_major_oracle(d, lam, nrows):
@@ -166,6 +177,87 @@ def test_multiplier_matches_row_major_oracle_at_intermediate_pilot():
     out = residual_survey(SphereSpec(10, 1000), "intermediate", 200, seed=42)
     assert len(out.xis) == 201 > block_rows(1000)
     assert np.array_equal(out.exact, row_major_sphere_multiplier(SphereSpec(10, 1000), out.xis))
+
+
+def sums_of_two_squares(n: int) -> bool:
+    """Oracle: n >= 0 is a sum of two squares iff every prime 3 mod 4 divides it to an even power."""
+    if n == 0:
+        return True
+    p = 2
+    while p * p <= n:
+        power = 0
+        while n % p == 0:
+            n //= p
+            power += 1
+        if p % 4 == 3 and power % 2:
+            return False
+        p += 1
+    return n % 4 != 3
+
+
+def expected_lists(d: int, lam: int) -> dict[int, list[int]]:
+    """Oracle: the degrees each middle factor must hold, from the number-theoretic tests."""
+    reachable = {1: lambda n: math.isqrt(n) ** 2 == n, 2: sums_of_two_squares}
+    lists = {}
+    for j in range(1, d - 1):
+        keep = [
+            (j != 1 or reachable[2](i)) and (d - 1 - j > 2 or reachable[d - 1 - j](lam - i))
+            for i in range(lam + 1)
+        ]
+        if not all(keep):
+            lists[j] = [i for i in range(lam + 1) if keep[i]]
+    return lists
+
+
+def test_sums_of_two_squares_oracle_against_brute_force():
+    brute = {a * a + b * b for a in range(45) for b in range(45)}
+    assert [n for n in range(2001) if sums_of_two_squares(n)] == sorted(n for n in brute if n <= 2000)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 10])
+@pytest.mark.parametrize("lam", [1, 2, 5, 300, 1024, 2000])
+def test_reachable_degrees_match_the_number_theoretic_oracle(d, lam):
+    got = _reachable_degrees(d, lam)
+    assert {j: dest.tolist() for j, dest in got.items()} == expected_lists(d, lam)
+    if lam == 1 or d < 3:
+        assert got == {}
+
+
+def kahan_steps(d: int, lam: int) -> int:
+    """Per row, the middle factors' Kahan steps: one per kept degree i and k with k^2 <= i."""
+    listed = _reachable_degrees(d, lam)
+    degrees = {j: listed.get(j, np.arange(lam + 1)) for j in range(1, d - 1)}
+    return sum(math.isqrt(i) for dest in degrees.values() for i in dest.tolist())
+
+
+def test_reachable_degrees_prune_the_intermediate_pilot():
+    # (10, 1000): factors 1, 7 and 8 are listed, 164,920 -> 117,453 steps per row
+    assert sorted(_reachable_degrees(10, 1000)) == [1, 7, 8]
+    assert 8 * sum(1001 - k * k for k in range(1, 32)) == 164_920
+    assert kahan_steps(10, 1000) == 117_453
+
+
+@pytest.mark.parametrize("d, lam", [(3, 300), (5, 300), (5, 1024)])
+def test_dropping_a_listed_degree_breaks_the_oracle(monkeypatch, d, lam):
+    spec = SphereSpec(d, lam)
+    xis = np.random.Generator(np.random.Philox(d + lam)).random((6, d)) - 0.5
+    want = row_major_sphere_multiplier(spec, xis)
+    assert np.array_equal(sphere_multiplier_batch(spec, xis), want)
+    full = _reachable_degrees(d, lam)
+    for j, dest in full.items():
+        short = {**full, j: np.delete(dest, len(dest) // 2)}
+        monkeypatch.setattr(symbols, "_reachable_degrees", lambda d_, lam_: short)
+        assert not np.array_equal(sphere_multiplier_batch(spec, xis), want), j
+
+
+@pytest.mark.parametrize("d, lam", [(4, 300), (6, 1024)])
+def test_squares_in_place_of_sums_of_two_squares_break_the_oracle(monkeypatch, d, lam):
+    spec = SphereSpec(d, lam)
+    xis = np.random.Generator(np.random.Philox(d * lam)).random((6, d)) - 0.5
+    want = row_major_sphere_multiplier(spec, xis)
+    counts = symbols.sphere_counts
+    monkeypatch.setattr(symbols, "sphere_counts", lambda m, n: counts(1, n))
+    assert not np.array_equal(sphere_multiplier_batch(spec, xis), want)
 
 
 def test_multiplier_empty_sphere_at_non_square_lambda_in_one_dimension():
