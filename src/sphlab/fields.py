@@ -12,7 +12,7 @@ symbol at (|m_1|, ..., |m_d|).  Points that coincide mod L (possible once
 2t >= L) keep their multiplicity in the weights w.  Per axis the basis is
 one L x L matrix B, cosine rows first, read at the exact residues
 (m x) mod L; its rows are orthogonal, so B^-1 is B^T over the squared row
-norms (L for m = 0 and m = L/2, L/2 otherwise).
+norms (L for m = 0 and m = L/2, L/2 otherwise), which the symbols carry.
 
 A transform takes one pass per torus axis, and every pass is one
 ``np.matmul`` over slabs of the torus: torus axis 0 is the batch axis and
@@ -24,10 +24,8 @@ last within the slab, then axis 0 in column slabs, so the non-torus axes
 end up first and the spectrum's torus axes come out rotated by one:
 lead + (m_1, ..., m_{d-1}, m_0).  The inverse mirrors it, axis 0 first,
 then axes d-1..1, which restores the field's layout.  The symbols come
-out of the same forward routine, so their layout matches by construction.
-A symbol is the weights grid transformed by the cosine rows, gathered
-into basis order by each row's frequency; at d >= 3 its axis-0 pass
-reads each basis row's own cosine row, so that axis needs no gather.  One
+out of the same forward routine (``_Scratch._symbol``), so their layout
+matches by construction, and both directions read the one matrix B.  One
 real transform takes d L^(d+1) multiply-adds and the basis L^2 doubles;
 a torus whose d L^(d+1) passes ``MAX_DENSE_WORK`` raises
 ``InfeasibleScale`` before any allocation, which allows sides up to
@@ -219,7 +217,7 @@ class _Scratch:
     ``_float_view``: () for a real scalar field, (2,) for a complex one,
     (n, n, 2) for a matrix field.
     - ``basis``: B, the real Fourier basis of Z_side as rows, cosines
-      first, and ``inverse``, B^T over the squared row norms;
+      first, read by the passes of both directions;
     - ``freq``: each row's frequency m;
     - ``work``: two flat buffers of prod(lead) L^d doubles, which the
       passes of a transform alternate between; one scale's product is
@@ -229,8 +227,8 @@ class _Scratch:
       coefficient of the basis vector with row m_i on torus axis i;
     - ``maximum``: the running dyadic maximum, (L,)*d;
     - ``symbols``: the read-only sphere symbol of each squared radius in
-      ``lams``, (L,)*d in the spectrum's rotated layout, keyed by it
-      (``_sphere_symbol``).
+      ``lams`` over the basis vectors' squared norms, (L,)*d in the
+      spectrum's rotated layout, keyed by it (``_sphere_symbol``).
     Every pass is one ``np.matmul`` over slabs of the torus, batched over
     torus axis 0 (``_forward``; ``average`` mirrors it).  Whoever builds a
     scratch owns it: an array read from it is overwritten by its next use.
@@ -246,7 +244,6 @@ class _Scratch:
         half = side // 2 + 1
         self.freq = np.r_[0:half, 1 : (side + 1) // 2]
         self.basis = _real_basis(side)
-        self.inverse = self.basis.T / np.where(2 * self.freq % side == 0, side, side / 2.0)
         size = math.prod(lead) * side**d
         self.work = (np.empty(size), np.empty(size))
         self.spectrum = np.empty(size).reshape(lead + (side,) * d)
@@ -254,7 +251,7 @@ class _Scratch:
         self.symbols = {lam: self._sphere_symbol(SphereSpec(d, lam)) for lam in lams}
 
     def _sphere_symbol(self, spec: SphereSpec) -> np.ndarray:
-        """The eigenvalue of the sphere average on each basis vector, read-only.
+        """The eigenvalue of the sphere average on each basis vector over its squared norm, read-only.
 
         Built by ``_symbol`` from the sphere's points, so it is laid out as
         the spectrum is, (m_1, ..., m_{d-1}, m_0); the sphere is symmetric
@@ -278,7 +275,8 @@ class _Scratch:
         (L//2 + 1)^(d-1) L values are then gathered along the other axes by
         each row's frequency into the only new array.  At d <= 2 those
         rows would be an L x L temporary, 1 GiB at side 11585, so every
-        pass reads the cosine rows and every axis is gathered.
+        pass reads the cosine rows and every axis is gathered.  Before the
+        gather each axis is divided in place by its rows' squared norms.
         """
         weights = self.maximum
         weights.fill(0.0)
@@ -288,9 +286,11 @@ class _Scratch:
         if self.d > 2:
             rows[0], gathered = self.basis[self.freq], self.d - 1
         cosines = _forward(weights, rows, [self.work[i % 2] for i in range(self.d)])
-        symbol = cosines.reshape((half,) * gathered + (self.side,) * (self.d - gathered))[
-            np.ix_(*(self.freq,) * gathered)
-        ]
+        grid = cosines.reshape((half,) * gathered + (self.side,) * (self.d - gathered))
+        norms = np.where(2 * self.freq % self.side == 0, self.side, self.side / 2.0)
+        for axis, n in enumerate(grid.shape):
+            np.divide(grid, norms[:n].reshape((n,) + (1,) * (self.d - 1 - axis)), out=grid)
+        symbol = grid[np.ix_(*(self.freq,) * gathered)]
         symbol.flags.writeable = False
         return symbol
 
@@ -308,22 +308,22 @@ class _Scratch:
     def average(self, lam: int) -> np.ndarray:
         """The inverse transform of ``spectrum`` times lam's symbol, (L,)*d + lead, in ``work``.
 
-        The passes mirror ``_forward``.  Axis 0 goes first: each column
-        slab of the product, read as (rest, L), is contracted with B^-1
-        into a strided view of its columns of the (L, rest) output.  Then
-        axes d-1..1, each one gemm batched over axis 0, an item contracting
-        its slab's last axis and writing the new axis first, which leaves
-        the field's layout.
+        The passes mirror ``_forward`` and read its B, as the symbol holds
+        the row norms.  Axis 0 goes first: each column slab of the product,
+        read as (rest, L), is contracted with B into a strided view of its
+        columns of the (L, rest) output.  Then axes d-1..1, each one gemm
+        batched over axis 0, an item contracting its slab's last axis and
+        writing the new axis first, which leaves the field's layout.
         """
         side, (a, b) = self.side, self.work
         x = np.multiply(self.spectrum, self.symbols[lam], out=a.reshape(self.spectrum.shape))
         rest = x.size // side
         slabs = _slabs(rest, side)
         out = b.reshape(side, slabs, rest // slabs).transpose(1, 2, 0)
-        np.matmul(x.reshape(slabs, rest // slabs, side), self.inverse.T, out=out)
+        np.matmul(x.reshape(slabs, rest // slabs, side), self.basis, out=out)
         r = rest // side
         for _ in range(self.d - 1):
-            np.matmul(self.inverse, b.reshape(side, r, side).transpose(0, 2, 1), out=a.reshape(side, side, r))
+            np.matmul(self.basis.T, b.reshape(side, r, side).transpose(0, 2, 1), out=a.reshape(side, side, r))
             a, b = b, a
         return b.reshape((side,) * self.d + self.lead)
 

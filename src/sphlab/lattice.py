@@ -80,17 +80,15 @@ def _count_dtype(d: int, lam_max: int):
     return np.int64 if sum(terms) + margin < 63 * math.log(2) else object
 
 
-@lru_cache(maxsize=None)
-def sphere_counts(d: int, lam_max: int) -> tuple[int, ...]:
-    """r_d(m) for m = 0..lam_max, exact, as Python ints.
+def _count_table(d: int, lam_max: int) -> np.ndarray:
+    """r_d(m) for m = 0..lam_max, exact, uncached; ``sphere_counts`` caches it as Python ints.
 
     Built one dimension at a time by slice-adding the truncated theta
-    polynomial into the previous dimension's table; only the requested
-    (d, lam_max) table is cached.  Every entry in dimension j <= d, and every
-    partial sum of the slice-adds, is at most the number of points of Z^j,
-    and so of Z^d, in the ball |x|^2 <= lam_max, so the tables are ``int64``
-    while ``_count_dtype`` bounds that number below 2^63 and exact
-    Python-int (``object``) arrays beyond.
+    polynomial into the previous dimension's table.  Every entry in
+    dimension j <= d, and every partial sum of the slice-adds, is at most
+    the number of points of Z^j, and so of Z^d, in the ball |x|^2 <=
+    lam_max, so the table is ``int64`` while ``_count_dtype`` bounds that
+    number below 2^63 and an exact Python-int (``object``) array beyond.
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
@@ -100,7 +98,13 @@ def sphere_counts(d: int, lam_max: int) -> tuple[int, ...]:
         out = prev.copy()  # k = 0 term
         for k in range(1, math.isqrt(lam_max) + 1):
             out[k * k :] += 2 * prev[: lam_max + 1 - k * k]
-    return tuple(out.tolist())
+    return out
+
+
+@lru_cache(maxsize=None)
+def sphere_counts(d: int, lam_max: int) -> tuple[int, ...]:
+    """r_d(m) for m = 0..lam_max, exact, as Python ints; only this (d, lam_max) table is cached."""
+    return tuple(_count_table(d, lam_max).tolist())
 
 
 def representation_count(spec: SphereSpec) -> int:

@@ -18,7 +18,7 @@ from numpy import fft
 from numpy.random import Generator, Philox
 
 from .errors import DomainError, InfeasibleScale, RegimeViolation
-from .lattice import SphereSpec, nonempty_count, sphere_counts
+from .lattice import SphereSpec, _count_table, nonempty_count
 
 __all__ = [
     "periodic_norm",
@@ -106,11 +106,11 @@ def _reachable_degrees(d: int, lam: int) -> dict[int, np.ndarray]:
     two squares S_2.  From factor d - 3 on, the d - 1 - j factors still to
     come add d - 1 - j squares, so only degrees i with lam - i in
     S_(d-1-j) are read on the way to z^lam.  S_1 and S_2 are the degrees
-    with positive exact counts r_1 and r_2.
+    with positive exact counts r_1 and r_2, from uncached tables.
     """
     if d < 3:
         return {}
-    reachable = {m: np.array(sphere_counts(m, lam)) > 0 for m in (1, 2)}
+    reachable = {m: _count_table(m, lam) > 0 for m in (1, 2)}
     lists = {}
     for j in range(1, d - 1):
         keep = np.ones(lam + 1, dtype=bool)

@@ -18,7 +18,7 @@ from sphlab import (
     eval_semigroup_symbol,
     spherical_average,
 )
-from sphlab.fields import MAX_DENSE_WORK, MAX_SPHERE_POINTS, _Scratch, _real_basis
+from sphlab.fields import MAX_DENSE_WORK, MAX_SPHERE_POINTS, _forward, _Scratch, _real_basis
 from test_symbols import direct_sphere_multiplier
 from transference import (
     apply_multiplier,
@@ -364,19 +364,55 @@ def basis_frequencies(side):
     return np.r_[0 : side // 2 + 1, 1 : (side + 1) // 2]
 
 
+def row_norms(side):
+    """The squared norm of each basis row: L for m = 0 and m = L/2, L/2 otherwise."""
+    return np.where(2 * basis_frequencies(side) % side == 0, side, side / 2.0)
+
+
+def norm_grid(d, side):
+    """The squared norm of each tensor basis vector, the product of its rows' norms, (L,)*d.
+
+    The grid is symmetric under permuting the axes, so it reads the same in
+    the spectrum's rotated layout.
+    """
+    grid = np.ones(())
+    for _ in range(d):
+        grid = np.multiply.outer(grid, row_norms(side))
+    return grid
+
+
+def eigenvalues(scratch, lam):
+    """The sphere's eigenvalue on each basis vector, without the norms: the unfolded symbol.
+
+    The weights grid through the package's ``_forward`` with the cosine
+    rows on every axis, gathered at the basis rows' frequencies, laid out
+    as the spectrum is.
+    """
+    d, side = scratch.d, scratch.side
+    points = enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)
+    weights = np.zeros((side,) * d)
+    np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
+    half = side // 2 + 1
+    cosines = _forward(weights, [scratch.basis[:half]] * d, [np.empty(side**d) for _ in range(d)])
+    return cosines.reshape((half,) * d)[np.ix_(*(scratch.freq,) * d)]
+
+
 @pytest.mark.parametrize("lead", [(2,), (2, 2, 2)], ids=["complex", "matrix"])
 @pytest.mark.parametrize("d,side", [(1, 12), (2, 16), (3, 9), (2, 11)])
 def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
     """A scratch with trailing axes builds each symbol from the weights grid alone.
 
     Its symbols equal a real field's scratch's bit for bit, in the same
-    strides, and match ``numpy.fft.fftn`` of the normalized indicator
-    gathered at the basis rows' frequencies.
+    strides.  Each symbol times the norm grid matches ``numpy.fft.fftn`` of
+    the normalized indicator gathered at the basis rows' frequencies; at a
+    power-of-two side every norm is a power of two, so that product is the
+    unfolded eigenvalue bit for bit.
     """
     lams = (1, 4, 16)
     real = _Scratch((), d, side, lams)
     other = _Scratch(lead, d, side, lams)
     freq = basis_frequencies(side)
+    norms = norm_grid(d, side)
     for lam in lams:
         symbol, own = real.symbols[lam], other.symbols[lam]
         assert own.strides == symbol.strides
@@ -386,7 +422,9 @@ def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
         np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
         oracle = np.fft.fftn(weights).real[np.ix_(*(freq,) * d)]
         # in the spectrum's layout, (m_1, ..., m_{d-1}, m_0)
-        assert np.abs(symbol - np.moveaxis(oracle, 0, -1)).max() <= 1e-15
+        assert np.abs(symbol * norms - np.moveaxis(oracle, 0, -1)).max() <= 1e-15
+        if side & (side - 1) == 0:
+            assert np.array_equal(symbol * norms, eigenvalues(real, lam))
 
 
 def basis_rows(side):
@@ -414,12 +452,18 @@ def basis_residuals(d, side, apply):
 # (8, 16), (9, 25) and (5, 9) hold aliased points: 2t >= L
 @pytest.mark.parametrize("d,side,lams", [(1, 8, (1, 16)), (2, 9, (2, 25)), (3, 5, (1, 9))])
 def test_sphere_average_is_diagonal_in_the_real_basis(d, side, lams):
-    """Every basis vector goes through the roll oracle to its symbol entry times itself."""
+    """Every basis vector goes through the roll oracle to its eigenvalue times itself.
+
+    The symbol holds that eigenvalue over the vector's squared norm, the
+    inverse transform's scaling: B^T over the squared row norms inverts B.
+    """
     scratch = _Scratch((), d, side, lams)
     rows = basis_rows(side)
     # the formula's angles round 2 pi m x / L, the package's only 2 pi r / L with r = m x mod L
     assert np.abs(scratch.basis - rows).max() <= 1e-14
-    assert np.abs(scratch.inverse @ scratch.basis - np.eye(side)).max() <= 1e-15
+    norms = row_norms(side)
+    assert np.abs((rows * rows).sum(axis=1) - norms).max() <= 1e-13
+    assert np.abs((scratch.basis.T / norms) @ scratch.basis - np.eye(side)).max() <= 1e-15
     for lam in lams:
         spec = SphereSpec(d, lam)
         residuals, multiples = basis_residuals(
@@ -427,7 +471,10 @@ def test_sphere_average_is_diagonal_in_the_real_basis(d, side, lams):
         )
         assert residuals.max() <= 1e-13
         # the symbol's torus axes are rotated by one: (m_1, ..., m_{d-1}, m_0)
-        assert np.abs(multiples - np.moveaxis(scratch.symbols[lam], -1, 0)).max() <= 1e-13
+        symbol = scratch.symbols[lam] * norm_grid(d, side)
+        assert np.abs(multiples - np.moveaxis(symbol, -1, 0)).max() <= 1e-13
+        if side & (side - 1) == 0:
+            assert np.array_equal(symbol, eigenvalues(scratch, lam))
 
 
 def test_half_sphere_average_is_not_diagonal_in_the_real_basis():
@@ -588,19 +635,45 @@ def outer_product_basis(side: int) -> np.ndarray:
 
 @pytest.mark.parametrize("d, side", [(1, 2048), (2, 406), (5, 12), (1, 7)])
 def test_basis_reads_the_residues_of_its_distinct_rows(d, side):
-    scratch = _Scratch((), d, side, ())
+    """The basis's bits, and the squared row norms that make B^T its inverse.
+
+    The symbols carry those norms: the identity's, lam = 0, is 1 over the
+    norm grid, exactly at a power-of-two side.
+    """
+    scratch = _Scratch((), d, side, (0,))
     basis = outer_product_basis(side)
-    norms = np.where(2 * scratch.freq % side == 0, side, side / 2.0)
     assert np.array_equal(scratch.basis.view(np.uint64), basis.view(np.uint64))
-    assert np.array_equal(scratch.inverse.view(np.uint64), (basis.T / norms).view(np.uint64))
+    product = scratch.symbols[0] * norm_grid(d, side)
+    assert np.abs(product - 1.0).max() <= 1e-15
+    if side & (side - 1) == 0:
+        assert np.all(product == 1.0)
+
+
+def test_scratch_keeps_one_basis_matrix():
+    """At side 2048 a scratch retains its one L x L basis, 32 MiB.
+
+    Its build peaks at that basis plus the 16 MiB of residues of rows
+    0..L//2 (``test_basis_builds_only_the_distinct_rows_of_residues``);
+    the symbols carry the row norms, so no second L x L matrix is kept.
+    """
+    mib = 2**20
+    tracemalloc.start()
+    try:
+        scratch = _Scratch((), 1, 2048, (1, 4))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(scratch, "inverse")
+    assert retained <= 32.2 * mib and peak <= 48.2 * mib
 
 
 def test_basis_builds_only_the_distinct_rows_of_residues():
     """At side 2048 the residues of rows 0..L//2 take 16 MiB where the L x L table took 32 MiB.
 
-    The whole scratch build peaks at the basis and its inverse either way,
-    so the saving shows in the basis build's own peak: the L - L//2 - 1
-    rows of int64 residues it no longer builds.
+    The basis build peaks at the basis plus those residues, and so does
+    the whole scratch build (``test_scratch_keeps_one_basis_matrix``); the
+    saving shows in the basis build's own peak: the L - L//2 - 1 rows of
+    int64 residues it no longer builds.
     """
     side = 2048
     peaks = []

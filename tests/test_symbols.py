@@ -22,6 +22,7 @@ from sphlab import (
     periodic_norm,
     representation_count,
     residual_survey,
+    sphere_counts,
     sphere_multiplier_batch,
 )
 from sphlab import symbols
@@ -255,9 +256,22 @@ def test_squares_in_place_of_sums_of_two_squares_break_the_oracle(monkeypatch, d
     spec = SphereSpec(d, lam)
     xis = np.random.Generator(np.random.Philox(d * lam)).random((6, d)) - 0.5
     want = row_major_sphere_multiplier(spec, xis)
-    counts = symbols.sphere_counts
-    monkeypatch.setattr(symbols, "sphere_counts", lambda m, n: counts(1, n))
+    counts = symbols._count_table
+    monkeypatch.setattr(symbols, "_count_table", lambda m, n: counts(1, n))
     assert not np.array_equal(sphere_multiplier_batch(spec, xis), want)
+
+
+def test_reachable_degrees_add_no_count_cache_entries():
+    """S_1 and S_2 come from uncached tables: 200 radii at d = 4 leave only their (4, lam) tables."""
+    sphere_counts.cache_clear()
+    xi = np.full((1, 4), 0.1)
+    radii = range(1001, 1201)
+    for lam in radii:
+        sphere_multiplier_batch(SphereSpec(4, lam), xi)
+    assert sphere_counts.cache_info().currsize == 200
+    for lam in radii:
+        sphere_counts(4, lam)
+    assert sphere_counts.cache_info().currsize == 200
 
 
 def test_multiplier_empty_sphere_at_non_square_lambda_in_one_dimension():
@@ -289,6 +303,30 @@ def test_multiplier_rejects_bad_frequency_arrays():
         for s in (spec, lam_zero):
             with pytest.raises(DomainError):
                 sphere_multiplier_batch(s, xis)
+
+
+def test_gaussian_approximant_has_half_the_symbol_curvature_at_zero():
+    """Pins the "sin" approximant's first-order agreement with the sphere symbol.
+
+    Near xi = 0 the symbol has 1 - m = 2 pi^2 lam |xi|^2 / d, as the
+    continuous sphere does, and exp(-(lam/d) sum_j sin^2(pi xi_j)) has half
+    of it.  At period-2 frequencies, xi_j = 1/2 on s coordinates, the two
+    differ at first order too.  Changing the approximant's exponent would
+    change these values, the residual pilots' outputs and their frozen keys.
+    """
+    spec = SphereSpec(16, 100)
+    xi = np.zeros((1, 16))
+    xi[0, 0] = 0.002
+    one_minus_m = 1.0 - sphere_multiplier_batch(spec, xi)[0]
+    assert one_minus_m == pytest.approx(4.934e-4, rel=1e-3)
+    assert one_minus_m == pytest.approx(2 * math.pi**2 * spec.lam * 0.002**2 / spec.d, rel=1e-3)
+    ratio = (1.0 - eval_gaussian_approximant(spec, xi[0], "sin")) / one_minus_m
+    assert 0.499 <= ratio <= 0.501
+    spec = SphereSpec(64, 4)
+    xi = np.zeros((1, 64))
+    xi[0, :4] = 0.5
+    assert sphere_multiplier_batch(spec, xi)[0] == pytest.approx(0.56839, abs=1e-5)
+    assert eval_gaussian_approximant(spec, xi[0], "sin") == pytest.approx(0.77880, abs=1e-5)
 
 
 def test_gaussian_approximant():
