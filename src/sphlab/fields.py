@@ -25,8 +25,13 @@ end up first and the spectrum's torus axes come out rotated by one:
 lead + (m_1, ..., m_{d-1}, m_0).  The inverse mirrors it, axis 0 first,
 then axes d-1..1, which restores the field's layout.  The symbols come
 out of the same forward routine (``_Scratch._symbol``), so their layout
-matches by construction, and both directions read the one matrix B.  One
-real transform takes d L^(d+1) multiply-adds and the basis L^2 doubles;
+matches by construction, and both directions read the one matrix B.  A
+symbol's value depends only on each basis row's frequency, so it holds its
+first max(d - 3, 0) torus axes by frequency, L//2 + 1 entries each, and
+multiplies the spectrum in blocks of cosine or sine rows on those axes; a
+real field's scratch with K symbols holds 4 L^d + K (L//2 + 1)^(d-3) L^3
+doubles at d >= 3 and (4 + K) L^d below, besides the basis.  One real
+transform takes d L^(d+1) multiply-adds and the basis L^2 doubles;
 a torus whose d L^(d+1) passes ``MAX_DENSE_WORK`` raises
 ``InfeasibleScale`` before any allocation, which allows sides up to
 11585, 406, 81, 32, 17 and 11 at d = 1..6.
@@ -38,8 +43,10 @@ torus, which also holds the symbol of each sphere it was built for.  A
 public call builds its own scratch and returns an array the caller owns;
 a caller that takes the maximum over many fields on one torus, such as
 the sampled ratio survey of ``ncmax``, builds one scratch and passes it
-down, so no scale and no field allocates a buffer or a symbol.  Nothing
-is cached between calls.  The tests keep the one-shift-per-point average
+down, so no scale and no field allocates a buffer or a symbol; that
+survey draws each field into the scratch's running maximum, which the
+field's forward transform reads before the first scale overwrites it.
+Nothing is cached between calls.  The tests keep the one-shift-per-point average
 as the spatial oracle and ``numpy.fft`` as the symbols' oracle.  Callers
 choose L with 2t < L for every radius exercised, so the periodic average
 agrees with the infinite lattice for compactly supported inputs.
@@ -47,6 +54,7 @@ agrees with the infinite lattice for compactly supported inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +75,7 @@ __all__ = [
 MAX_SITES = 1 << 26
 MAX_DENSE_WORK = 1 << 27  # d L^(d+1), the multiply-adds of one real transform
 MAX_SPHERE_POINTS = 2_000_000  # enumeration cap of every sphere an average uses
+_RESIDUE_BLOCK = 1 << 17  # residues per block of the basis build, 1 MiB of intp
 
 
 def _check_sites(d: int, side: int) -> None:
@@ -196,17 +205,27 @@ def _real_basis(side: int) -> np.ndarray:
 
     Row m at x reads cos or sin at the exact residue (m x) mod L.  The sine
     rows reuse the residues of cosine rows 1..(L-1)//2, so only the L//2 + 1
-    distinct rows of residues are built, as intp: ``np.take`` would copy
-    narrower indices into an intp array of the same shape.
+    distinct rows of residues are built, as intp (``np.take`` would copy
+    narrower indices into an intp array of the same shape), a block of
+    about ``_RESIDUE_BLOCK`` at a time, so the build peaks near B itself.
     """
     half = side // 2 + 1
-    residues = np.outer(np.arange(half), np.arange(side))
-    residues %= side
     angles = (2.0 * math.pi / side) * np.arange(side)
+    cosines, sines = np.cos(angles), np.sin(angles)
     basis = np.empty((side, side))
-    # mode="clip" writes straight into out=; every residue is in range
-    np.take(np.cos(angles), residues, out=basis[:half], mode="clip")
-    np.take(np.sin(angles), residues[1 : side - half + 1], out=basis[half:], mode="clip")
+    step = min(max(_RESIDUE_BLOCK // side, 1), half)
+    buffer = np.empty((step, side), dtype=np.intp)
+    for start in range(0, half, step):
+        stop = min(start + step, half)
+        residues = np.multiply.outer(np.arange(start, stop), np.arange(side), out=buffer[: stop - start])
+        residues %= side
+        # mode="clip" writes straight into out=; every residue is in range
+        np.take(cosines, residues, out=basis[start:stop], mode="clip")
+        # sine row m, 1 <= m <= (L-1)//2, is basis row half + m - 1
+        low, high = max(start, 1), min(stop, side - half + 1)
+        if low < high:
+            sine_rows = basis[half + low - 1 : half + high - 1]
+            np.take(sines, residues[low - start : high - start], out=sine_rows, mode="clip")
     return basis
 
 
@@ -225,10 +244,22 @@ class _Scratch:
     - ``spectrum``: the field's coefficients, lead + (L,)*d, its torus
       axes rotated by one: index (..., m_1, ..., m_{d-1}, m_0) holds the
       coefficient of the basis vector with row m_i on torus axis i;
-    - ``maximum``: the running dyadic maximum, (L,)*d;
+    - ``maximum``: the running dyadic maximum, (L,)*d; a survey may also
+      draw its field into it, as ``dyadic_maximal`` reads the field only
+      before the first scale writes it;
     - ``symbols``: the read-only sphere symbol of each squared radius in
-      ``lams`` over the basis vectors' squared norms, (L,)*d in the
-      spectrum's rotated layout, keyed by it (``_sphere_symbol``).
+      ``lams`` over the basis vectors' squared norms, in the spectrum's
+      rotated layout, keyed by it (``_sphere_symbol``).  Its first
+      k = ``compact`` = max(d - 3, 0) torus axes hold one entry per
+      frequency m = 0..L//2, as the symbol depends only on each row's
+      frequency, and its last min(d, 3) axes one per basis row:
+      (L//2 + 1,)*k + (L,)*(d - k);
+    - ``blocks``: the (spectrum index, symbol index) pairs by which
+      ``average`` multiplies, one per choice of the cosine or the sine
+      rows on each of those k axes; a cosine block reads symbol rows
+      0..L//2, a sine block rows 1..(L-1)//2.  Each block's contiguous
+      run is the last three axes, L^3 values, as long as those of one
+      flat multiply.
     Every pass is one ``np.matmul`` over slabs of the torus, batched over
     torus axis 0 (``_forward``; ``average`` mirrors it).  Whoever builds a
     scratch owns it: an array read from it is overwritten by its next use.
@@ -248,6 +279,14 @@ class _Scratch:
         self.work = (np.empty(size), np.empty(size))
         self.spectrum = np.empty(size).reshape(lead + (side,) * d)
         self.maximum = np.empty((side,) * d)
+        self.compact = max(d - 3, 0)
+        # (spectrum rows, symbol rows) of the cosines and of the sines, which sides 1 and 2 lack
+        cosines, sines = (slice(0, half), slice(0, half)), (slice(half, side), slice(1, side - half + 1))
+        rows = [cosines, sines] if side > half else [cosines]
+        self.blocks = [
+            ((slice(None),) * len(lead) + tuple(s for s, _ in choice), tuple(r for _, r in choice))
+            for choice in itertools.product(rows, repeat=self.compact)
+        ]
         self.symbols = {lam: self._sphere_symbol(SphereSpec(d, lam)) for lam in lams}
 
     def _sphere_symbol(self, spec: SphereSpec) -> np.ndarray:
@@ -273,10 +312,12 @@ class _Scratch:
         the cosine rows only, and the pass over axis 0 reads each basis
         row's own cosine row, so it writes m_0 in basis order; the
         (L//2 + 1)^(d-1) L values are then gathered along the other axes by
-        each row's frequency into the only new array.  At d <= 2 those
-        rows would be an L x L temporary, 1 GiB at side 11585, so every
-        pass reads the cosine rows and every axis is gathered.  Before the
-        gather each axis is divided in place by its rows' squared norms.
+        each row's frequency into the only new array, all but the first
+        ``compact`` of them, which stay by frequency.  At d <= 2
+        those rows would be an L x L temporary, 1 GiB at side 11585, so
+        every pass reads the cosine rows and every axis is gathered.
+        Before the gather each axis is divided in place by its rows'
+        squared norms.
         """
         weights = self.maximum
         weights.fill(0.0)
@@ -290,7 +331,15 @@ class _Scratch:
         norms = np.where(2 * self.freq % self.side == 0, self.side, self.side / 2.0)
         for axis, n in enumerate(grid.shape):
             np.divide(grid, norms[:n].reshape((n,) + (1,) * (self.d - 1 - axis)), out=grid)
-        symbol = grid[np.ix_(*(self.freq,) * gathered)]
+        if self.d > 2:
+            # one flat offset into the grid's last three axes per symbol entry serves every entry of
+            # the compact axes; index arrays on those axes would be broadcast to the whole gather
+            offsets = np.add.outer(np.add.outer(self.freq * half, self.freq) * self.side, np.arange(self.side))
+            symbol = np.empty(grid.shape[: self.compact] + offsets.shape)
+            out = symbol.reshape((-1,) + offsets.shape)
+            np.take(grid.reshape(half**self.compact, -1), offsets, axis=1, out=out, mode="clip")
+        else:
+            symbol = grid[np.ix_(*(self.freq,) * self.d)]
         symbol.flags.writeable = False
         return symbol
 
@@ -308,15 +357,19 @@ class _Scratch:
     def average(self, lam: int) -> np.ndarray:
         """The inverse transform of ``spectrum`` times lam's symbol, (L,)*d + lead, in ``work``.
 
-        The passes mirror ``_forward`` and read its B, as the symbol holds
-        the row norms.  Axis 0 goes first: each column slab of the product,
-        read as (rest, L), is contracted with B into a strided view of its
-        columns of the (L, rest) output.  Then axes d-1..1, each one gemm
+        The product is written into the first work buffer block by block
+        (``blocks``), each block of the spectrum times the symbol rows of
+        its frequencies.  The passes mirror ``_forward`` and read its B, as
+        the symbol holds the row norms.  Axis 0 goes first: each column
+        slab of the product, read as (rest, L), is contracted with B into a
+        strided view of its columns of the (L, rest) output.  Then axes d-1..1, each one gemm
         batched over axis 0, an item contracting its slab's last axis and
         writing the new axis first, which leaves the field's layout.
         """
         side, (a, b) = self.side, self.work
-        x = np.multiply(self.spectrum, self.symbols[lam], out=a.reshape(self.spectrum.shape))
+        x, symbol = a.reshape(self.spectrum.shape), self.symbols[lam]
+        for block, rows in self.blocks:
+            np.multiply(self.spectrum[block], symbol[rows], out=x[block])
         rest = x.size // side
         slabs = _slabs(rest, side)
         out = b.reshape(side, slabs, rest // slabs).transpose(1, 2, 0)
@@ -392,6 +445,9 @@ def dyadic_maximal(
     ``DomainError``.  Without a scratch the call builds its own and the
     returned array is the caller's; with one, the returned array is the
     scratch's ``maximum`` and is overwritten by the scratch's next use.
+    f's values may be that ``maximum`` itself: f is read only by the
+    forward transform, before the first scale writes ``maximum``, so a
+    survey draws its fields there and holds no array of its own for them.
     """
     if f.is_matrix:
         raise DomainError("the pointwise maximal function is scalar-only")

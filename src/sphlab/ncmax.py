@@ -513,19 +513,20 @@ def empirical_maximal_ratio(
     """Sampled L2 ratios ||max_t |avg_t f|||_2 / ||f||_2 over Gaussian fields.
 
     One ``_Scratch`` for the torus, which holds each scale's sphere
-    symbol, and one array for the draws are built once per call, after
-    the site-budget check, and shared by every trial; they live only as
-    long as the call.
+    symbol, is built once per call, after the site-budget check, and
+    shared by every trial; it lives only as long as the call.  Each trial
+    draws its field into the scratch's ``maximum`` and takes its norm
+    before ``dyadic_maximal``, which reads the field only in its forward
+    transform, before the first scale overwrites it.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
     scales.check_side(side)
     scratch = _Scratch((), d, side, tuple(t * t for t in scales.scales()))
-    draw = np.empty((side,) * d)
     rng = Generator(Philox(seed))
     ratios = []
     for _ in range(trials):
-        f = TorusField.scalar(rng.standard_normal(out=draw))
+        f = TorusField.scalar(rng.standard_normal(out=scratch.maximum))
         denom = lp_norm(f, 2)
         maximal = dyadic_maximal(f, scales, scratch=scratch)
         ratios.append(lp_norm(maximal, 2) / denom)

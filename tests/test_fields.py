@@ -118,8 +118,9 @@ def test_spherical_average_translation_commutes():
     assert np.abs(spherical_average(shifted, spec).values - avg_then_shifted).max() <= 1e-12
 
 
-# the odd sides 9 and 5 need the explicit output shape in the inverse real DFT
-@pytest.mark.parametrize("d,side", [(1, 40), (2, 12), (2, 9), (3, 8), (4, 6), (5, 5)])
+# the odd sides 9 and 5 need the explicit output shape in the inverse real DFT; at
+# d = 6 the symbol's first three axes are compact, so its product runs in 8 blocks
+@pytest.mark.parametrize("d,side", [(1, 40), (2, 12), (2, 9), (3, 8), (4, 6), (5, 5), (6, 4), (6, 5)])
 def test_spherical_average_matches_roll_oracle(d, side):
     scalar = random_scalar(d, side, 150 + d)
     real = random_real_scalar(d, side, 170 + d)
@@ -381,6 +382,34 @@ def norm_grid(d, side):
     return grid
 
 
+def expand(symbol, d, side):
+    """A symbol in the full layout, (L,)*d: its first max(d - 3, 0) axes read at each basis row's frequency."""
+    return symbol[np.ix_(*(basis_frequencies(side),) * max(d - 3, 0))]
+
+
+def full_gather_symbol(scratch, points):
+    """Oracle: the multiplier of the mean over ``points`` gathered on every axis, (L,)*d.
+
+    The weights grid through the package's ``_forward`` with the rows
+    ``_Scratch._symbol`` reads, each axis divided by its rows' squared
+    norms, then ``grid[np.ix_(*(freq,) * gathered)]``: the symbol as it was
+    held before its leading axes were kept by frequency.
+    """
+    d, side = scratch.d, scratch.side
+    weights = np.zeros((side,) * d)
+    np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
+    half = side // 2 + 1
+    rows, gathered = [scratch.basis[:half]] * d, d
+    if d > 2:
+        rows[0], gathered = scratch.basis[scratch.freq], d - 1
+    grid = _forward(weights, rows, [np.empty(side**d) for _ in range(d)])
+    grid = grid.reshape((half,) * gathered + (side,) * (d - gathered))
+    norms = row_norms(side)
+    for axis, n in enumerate(grid.shape):
+        grid = grid / norms[:n].reshape((n,) + (1,) * (d - 1 - axis))
+    return grid[np.ix_(*(scratch.freq,) * gathered)]
+
+
 def eigenvalues(scratch, lam):
     """The sphere's eigenvalue on each basis vector, without the norms: the unfolded symbol.
 
@@ -425,6 +454,30 @@ def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
         assert np.abs(symbol * norms - np.moveaxis(oracle, 0, -1)).max() <= 1e-15
         if side & (side - 1) == 0:
             assert np.array_equal(symbol * norms, eigenvalues(real, lam))
+
+
+@pytest.mark.parametrize("lead", [(), (2,), (2, 2, 2)], ids=["real", "complex", "matrix"])
+@pytest.mark.parametrize("d,side", [(4, 6), (5, 5), (5, 12), (6, 4), (6, 5), (6, 11)])
+def test_compact_symbol_expands_to_the_full_gather(d, side, lead):
+    """A symbol holds its first k = d - 3 torus axes by frequency and the last three by basis row.
+
+    Read at each basis row's frequency on those k axes, it equals the
+    symbol gathered on every axis bit for bit: for spheres, and for the
+    mean over +-j e_j, j = 1..d, which tells every axis apart, so the
+    compact axes must be the leading ones of the spectrum's layout.
+    """
+    lams = (1, 4)
+    scratch = _Scratch(lead, d, side, lams)
+    anisotropic = np.concatenate([np.diag(np.arange(1, d + 1)), -np.diag(np.arange(1, d + 1))])
+    symbols = [(scratch.symbols[lam], enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)) for lam in lams]
+    symbols.append((scratch._symbol(anisotropic), anisotropic))
+    buffers = (*scratch.work, scratch.spectrum, scratch.maximum)
+    for symbol, points in symbols:
+        assert symbol.shape == (side // 2 + 1,) * (d - 3) + (side,) * 3
+        assert symbol.flags.c_contiguous and symbol.flags.owndata and not symbol.flags.writeable
+        assert not any(np.shares_memory(symbol, buffer) for buffer in buffers)
+        full = expand(symbol, d, side)
+        assert np.array_equal(full.view(np.uint64), full_gather_symbol(scratch, points).view(np.uint64))
 
 
 def basis_rows(side):
@@ -550,9 +603,10 @@ def test_anisotropic_multiplier_goes_through_the_same_routine(d, lead):
     """The mean over +-e_1 alone, not symmetric under permuting the axes, matches the roll oracle.
 
     Its symbol comes out of the routine that builds the sphere symbols, so
-    it is laid out as the spectrum is.  Negative control: the same values
-    read in the unrotated layout, (m_0, ..., m_{d-1}), average over +-e_2
-    instead and miss the oracle.
+    it is laid out as the spectrum is, (m_1, ..., m_{d-1}, m_0).  Negative
+    control: the same values with the last two torus axes swapped, a
+    symbol of the same shape that reads m_{d-1} where m_0 belongs, average
+    over +-e_d instead and miss the oracle.
     """
     side = 7
     points = np.zeros((2, d), dtype=np.int64)
@@ -561,11 +615,11 @@ def test_anisotropic_multiplier_goes_through_the_same_routine(d, lead):
     scratch = _Scratch(lead, d, side, ())
     symbol = scratch._symbol(points)
     scratch.symbols["e1"] = symbol
-    scratch.symbols["e1 unrotated"] = np.moveaxis(symbol, -1, 0)
+    scratch.symbols["e1 swapped"] = np.swapaxes(symbol, -1, -2)
     scratch.forward(f)
     oracle = float_values(TorusField(d, roll_average(f.values, points)))
     assert np.abs(scratch.average("e1") - oracle).max() <= 1e-12
-    assert np.abs(scratch.average("e1 unrotated") - oracle).max() >= 0.1
+    assert np.abs(scratch.average("e1 swapped") - oracle).max() >= 0.1
 
 
 @pytest.mark.parametrize(
@@ -638,12 +692,13 @@ def test_basis_reads_the_residues_of_its_distinct_rows(d, side):
     """The basis's bits, and the squared row norms that make B^T its inverse.
 
     The symbols carry those norms: the identity's, lam = 0, is 1 over the
-    norm grid, exactly at a power-of-two side.
+    norm grid, exactly at a power-of-two side; at d = 5 it is read in the
+    full layout (``expand``).
     """
     scratch = _Scratch((), d, side, (0,))
     basis = outer_product_basis(side)
     assert np.array_equal(scratch.basis.view(np.uint64), basis.view(np.uint64))
-    product = scratch.symbols[0] * norm_grid(d, side)
+    product = expand(scratch.symbols[0], d, side) * norm_grid(d, side)
     assert np.abs(product - 1.0).max() <= 1e-15
     if side & (side - 1) == 0:
         assert np.all(product == 1.0)
@@ -652,9 +707,10 @@ def test_basis_reads_the_residues_of_its_distinct_rows(d, side):
 def test_scratch_keeps_one_basis_matrix():
     """At side 2048 a scratch retains its one L x L basis, 32 MiB.
 
-    Its build peaks at that basis plus the 16 MiB of residues of rows
-    0..L//2 (``test_basis_builds_only_the_distinct_rows_of_residues``);
-    the symbols carry the row norms, so no second L x L matrix is kept.
+    Its build peaks at that basis plus one block of residues, about
+    1 MiB, not the 16 MiB of the residues of rows 0..L//2 at once
+    (``test_basis_builds_only_the_distinct_rows_of_residues``); the
+    symbols carry the row norms, so no second L x L matrix is kept.
     """
     mib = 2**20
     tracemalloc.start()
@@ -664,16 +720,17 @@ def test_scratch_keeps_one_basis_matrix():
     finally:
         tracemalloc.stop()
     assert not hasattr(scratch, "inverse")
-    assert retained <= 32.2 * mib and peak <= 48.2 * mib
+    assert retained <= 32.2 * mib and peak <= 33.5 * mib
 
 
 def test_basis_builds_only_the_distinct_rows_of_residues():
-    """At side 2048 the residues of rows 0..L//2 take 16 MiB where the L x L table took 32 MiB.
+    """At side 2048 the residues of rows 0..L//2 take at most 16 MiB where the L x L table took 32 MiB.
 
-    The basis build peaks at the basis plus those residues, and so does
-    the whole scratch build (``test_scratch_keeps_one_basis_matrix``); the
-    saving shows in the basis build's own peak: the L - L//2 - 1 rows of
-    int64 residues it no longer builds.
+    They are built a block of about 1 MiB at a time, so the basis build,
+    and the whole scratch build (``test_scratch_keeps_one_basis_matrix``),
+    peak near the basis alone; the saving against the L x L table shows
+    in the basis build's own peak, at least the L - L//2 - 1 rows of int64
+    residues it never builds.
     """
     side = 2048
     peaks = []
@@ -708,12 +765,13 @@ def test_scratch_shape_and_spheres_are_checked():
 
 
 def test_public_spherical_average_peak_memory():
-    """A public average builds its symbol in its own scratch: the traced peak stays within 5.5 torus arrays.
+    """A public average builds its symbol in its own scratch: the traced peak stays within 4.5 torus arrays.
 
     At (5, 12) that is the scratch (two work buffers, the spectrum and
-    the maximum, one torus array of float64 each) and the symbol (one);
-    transforming the symbol in buffers of its own would add at least one
-    more.
+    the maximum, one torus array of float64 each) and the symbol, 7^2 12^3
+    values held by frequency on its first two axes, 0.34 of one; the
+    symbol in the full layout would add 0.66 more, and transforming it in
+    buffers of its own at least one.
     """
     d, side = 5, 12
     f = random_real_scalar(d, side, 230)
@@ -723,7 +781,7 @@ def test_public_spherical_average_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.5 * side**d * 8
+    assert peak <= 4.5 * side**d * 8
 
 
 def test_sign_flip_modulation():

@@ -685,13 +685,35 @@ def test_empirical_maximal_ratio_matches_per_scale_route(d, side, seed, storage)
     assert ratios == tuple(expected)
 
 
-def test_empirical_maximal_ratio_peak_memory():
-    """One scratch for every scale and trial: the traced peak stays within 8.5 torus arrays.
+@pytest.mark.parametrize("d,side,trials", [(3, 9, 3), (5, 12, 2), (6, 9, 2)])
+def test_fields_drawn_into_the_scratch_give_the_separate_draws_ratios(d, side, trials):
+    """Each trial's field lives in the scratch's ``maximum``; a separate draw array gives the same bits.
 
-    At (5, 12) that is the three scale symbols (three torus arrays of
-    float64), the draw and the scratch (four); ``lp_norm`` holds no
-    temporary, and fresh transform buffers per scale or per trial would
-    add at least one more.
+    The oracle is the survey's loop with its own draw array: one scratch,
+    the same Philox stream, the norm taken before the maximal function.
+    """
+    scales = DyadicRange((0, 1, 2))
+    scratch = _Scratch((), d, side, (1, 4, 16))
+    draw = np.empty((side,) * d)
+    rng = np.random.Generator(np.random.Philox(7))
+    expected = []
+    for _ in range(trials):
+        f = TorusField.scalar(rng.standard_normal(out=draw))
+        denom = lp_norm(f, 2)
+        expected.append(lp_norm(dyadic_maximal(f, scales, scratch=scratch), 2) / denom)
+    ratios = empirical_maximal_ratio(d, side, scales, trials, 7).ratios
+    assert np.array_equal(np.array(ratios).view(np.uint64), np.array(expected).view(np.uint64))
+
+
+def test_empirical_maximal_ratio_peak_memory():
+    """One scratch for every scale and trial: the traced peak stays within 5.2 torus arrays.
+
+    At (5, 12) that is the scratch (two work buffers, the spectrum and the
+    maximum, into which each trial draws its field: four torus arrays of
+    float64) and the three scale symbols, each 7^2 12^3 values held by
+    frequency on its first two axes (0.34 of one each).  ``lp_norm`` holds
+    no temporary; a separate draw array would add one more, and so would
+    fresh transform buffers per scale or per trial.
     """
     d, side = 5, 12
     tracemalloc.start()
@@ -700,4 +722,4 @@ def test_empirical_maximal_ratio_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5 * side**d * 8
+    assert peak <= 5.2 * side**d * 8
