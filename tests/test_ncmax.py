@@ -658,14 +658,18 @@ def test_empirical_maximal_ratio():
         pytest.param(3, 9, 5, float, id="3-9-5"),
         pytest.param(4, 16, 7, float, id="4-16-7"),
         pytest.param(5, 12, 7, float, id="5-12-7"),
+        pytest.param(6, 9, 7, float, id="6-9-7"),
         pytest.param(3, 9, 5, complex, id="3-9-5-complex"),
     ],
 )
 def test_empirical_maximal_ratio_matches_per_scale_route(d, side, seed, storage):
     """Redraw the survey's Philox fields and take the maximum one public average at a time.
 
-    The complex-storage case runs the survey's loop, one scratch shared by
-    every trial, on the same draws stored as complex numbers.
+    The survey draws each field into its scratch's running maximum; the
+    oracle draws them into arrays of their own, and the ratios must agree
+    bit for bit.  The complex-storage case runs the survey's loop, one
+    scratch shared by every trial, on the same draws stored as complex
+    numbers.
     """
     scales = DyadicRange((0, 1, 2))
     rng = np.random.Generator(np.random.Philox(seed))
@@ -683,26 +687,6 @@ def test_empirical_maximal_ratio_matches_per_scale_route(d, side, seed, storage)
             for f in fields
         )
     assert ratios == tuple(expected)
-
-
-@pytest.mark.parametrize("d,side,trials", [(3, 9, 3), (5, 12, 2), (6, 9, 2)])
-def test_fields_drawn_into_the_scratch_give_the_separate_draws_ratios(d, side, trials):
-    """Each trial's field lives in the scratch's ``maximum``; a separate draw array gives the same bits.
-
-    The oracle is the survey's loop with its own draw array: one scratch,
-    the same Philox stream, the norm taken before the maximal function.
-    """
-    scales = DyadicRange((0, 1, 2))
-    scratch = _Scratch((), d, side, (1, 4, 16))
-    draw = np.empty((side,) * d)
-    rng = np.random.Generator(np.random.Philox(7))
-    expected = []
-    for _ in range(trials):
-        f = TorusField.scalar(rng.standard_normal(out=draw))
-        denom = lp_norm(f, 2)
-        expected.append(lp_norm(dyadic_maximal(f, scales, scratch=scratch), 2) / denom)
-    ratios = empirical_maximal_ratio(d, side, scales, trials, 7).ratios
-    assert np.array_equal(np.array(ratios).view(np.uint64), np.array(expected).view(np.uint64))
 
 
 def test_empirical_maximal_ratio_peak_memory():
