@@ -403,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     except RegimeViolation as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return 2
-    except SphlabError as exc:
+    except (SphlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

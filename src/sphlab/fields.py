@@ -26,11 +26,11 @@ lead + (m_1, ..., m_{d-1}, m_0).  The inverse mirrors it, axis 0 first,
 then axes d-1..1, which restores the field's layout.  The symbols come
 out of the same forward routine (``_Scratch._symbol``), so their layout
 matches by construction, and both directions read the one matrix B.  A
-symbol's value depends only on each basis row's frequency, so it holds its
-first max(d - 3, 0) torus axes by frequency, L//2 + 1 entries each, and
-multiplies the spectrum in blocks of cosine or sine rows on those axes; a
-real field's scratch with K symbols holds 4 L^d + K (L//2 + 1)^(d-3) L^3
-doubles at d >= 3 and (4 + K) L^d below, besides the basis.  One real
+symbol's value depends only on each basis row's frequency, so its passes
+read only the cosine rows, and it keeps its first max(d - 3, 0) torus
+axes by frequency, L//2 + 1 entries each, and gathers the last min(d, 3)
+by each row's frequency; a real field's scratch with K symbols holds
+4 L^d + K (L//2 + 1)^max(d-3, 0) L^min(d, 3) doubles besides the basis.  One real
 transform takes d L^(d+1) multiply-adds and the basis L^2 doubles;
 a torus whose d L^(d+1) passes ``MAX_DENSE_WORK`` raises
 ``InfeasibleScale`` before any allocation, which allows sides up to
@@ -246,7 +246,8 @@ class _Scratch:
       coefficient of the basis vector with row m_i on torus axis i;
     - ``maximum``: the running dyadic maximum, (L,)*d; a survey may also
       draw its field into it, as ``dyadic_maximal`` reads the field only
-      before the first scale writes it;
+      before the first scale writes it, and each symbol's build holds its
+      weights and then its gather offsets there;
     - ``symbols``: the read-only sphere symbol of each squared radius in
       ``lams`` over the basis vectors' squared norms, in the spectrum's
       rotated layout, keyed by it (``_sphere_symbol``).  Its first
@@ -308,38 +309,29 @@ class _Scratch:
         every coordinate separately, as a sphere is.  The weights grid,
         built in ``maximum``, goes through ``_forward`` in the work
         buffers, which no field has used yet, so its layout is the
-        spectrum's.  At d >= 3 the passes over axes 1..d-1 contract with
-        the cosine rows only, and the pass over axis 0 reads each basis
-        row's own cosine row, so it writes m_0 in basis order; the
-        (L//2 + 1)^(d-1) L values are then gathered along the other axes by
-        each row's frequency into the only new array, all but the first
-        ``compact`` of them, which stay by frequency.  At d <= 2
-        those rows would be an L x L temporary, 1 GiB at side 11585, so
-        every pass reads the cosine rows and every axis is gathered.
-        Before the gather each axis is divided in place by its rows'
-        squared norms.
+        spectrum's.  Every pass reads the cosine rows only, so the grid
+        holds (L//2 + 1)^d values, and each axis is divided in place by its
+        rows' squared norms.  The first ``compact`` axes stay by frequency;
+        the last min(d, 3) are gathered by each basis row's frequency into
+        the only new array, through one flat offset per entry of those axes,
+        which serves every entry of the compact axes and is built in
+        ``maximum``, as the weights are no longer needed.
         """
         weights = self.maximum
         weights.fill(0.0)
         np.add.at(weights, tuple(np.mod(points, self.side).T), 1.0 / len(points))
         half = self.side // 2 + 1
-        rows, gathered = [self.basis[:half]] * self.d, self.d
-        if self.d > 2:
-            rows[0], gathered = self.basis[self.freq], self.d - 1
-        cosines = _forward(weights, rows, [self.work[i % 2] for i in range(self.d)])
-        grid = cosines.reshape((half,) * gathered + (self.side,) * (self.d - gathered))
-        norms = np.where(2 * self.freq % self.side == 0, self.side, self.side / 2.0)
-        for axis, n in enumerate(grid.shape):
-            np.divide(grid, norms[:n].reshape((n,) + (1,) * (self.d - 1 - axis)), out=grid)
-        if self.d > 2:
-            # one flat offset into the grid's last three axes per symbol entry serves every entry of
-            # the compact axes; index arrays on those axes would be broadcast to the whole gather
-            offsets = np.add.outer(np.add.outer(self.freq * half, self.freq) * self.side, np.arange(self.side))
-            symbol = np.empty(grid.shape[: self.compact] + offsets.shape)
-            out = symbol.reshape((-1,) + offsets.shape)
-            np.take(grid.reshape(half**self.compact, -1), offsets, axis=1, out=out, mode="clip")
-        else:
-            symbol = grid[np.ix_(*(self.freq,) * self.d)]
+        cosines = _forward(weights, [self.basis[:half]] * self.d, [self.work[i % 2] for i in range(self.d)])
+        grid = cosines.reshape((half,) * self.d)
+        norms = np.where(2 * self.freq[:half] % self.side == 0, self.side, self.side / 2.0)
+        for axis in range(self.d):
+            np.divide(grid, norms.reshape((half,) + (1,) * (self.d - 1 - axis)), out=grid)
+        offsets, flat = np.zeros((), dtype=np.intp), self.maximum.reshape(-1).view(np.intp)
+        for k in range(1, self.d - self.compact + 1):
+            offsets = np.add.outer(offsets * half, self.freq, out=flat[: self.side**k].reshape((self.side,) * k))
+        symbol = np.empty((half,) * self.compact + offsets.shape)
+        out = symbol.reshape((-1,) + offsets.shape)
+        np.take(grid.reshape(half**self.compact, -1), offsets, axis=1, out=out, mode="clip")
         symbol.flags.writeable = False
         return symbol
 

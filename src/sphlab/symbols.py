@@ -51,6 +51,7 @@ def periodic_norm(x):
 # Rows of frequencies per cache block: each (lam + 1, rows) work array holds at
 # most 2**15 float64 entries (256 KiB), so the block's buffers stay in L2.
 _BLOCK_ENTRIES = 2**15
+MAX_SURVEY_ENTRIES = 1 << 26  # entries of a survey's (samples + 1, d) draw, as many as fields.MAX_SITES
 
 
 def sphere_multiplier_batch(spec: SphereSpec, xis: np.ndarray) -> np.ndarray:
@@ -375,7 +376,10 @@ def _survey_points(d: int, samples: int, seed: int) -> np.ndarray:
     """xi = 0 followed by ``samples`` uniform draws from [-1/2, 1/2)^d.
 
     Philox is counter-based, so the stream is reproducible across platforms.
+    More than ``MAX_SURVEY_ENTRIES`` entries raise ``InfeasibleScale`` before any allocation.
     """
+    if (samples + 1) * d > MAX_SURVEY_ENTRIES:
+        raise InfeasibleScale(f"{samples + 1} x {d} survey entries exceeds the {MAX_SURVEY_ENTRIES} budget")
     rng = Generator(Philox(seed))
     pts = np.zeros((samples + 1, d))
     pts[1:] = rng.random((samples, d)) - 0.5

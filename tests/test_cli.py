@@ -548,6 +548,45 @@ def test_malformed_threshold_line_exit_2(tmp_path, capsys, line):
     assert main(MAXIMAL_ARGV + ["--thresholds", str(thresholds), "--out", str(out)]) == 2
 
 
+def sphlab_process(argv):
+    """The command line run in a fresh interpreter, with the process's exit code and stderr as a user sees them."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "sphlab.cli", *argv], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratio-survey", "--d", "8", "--lambdas", "5", "--out", "{tmp}/missing/x.csv"],
+        RESIDUAL_ARGV + ["--thresholds", "{tmp}"],
+        RESIDUAL_ARGV + ["--refreeze", "--thresholds", "{tmp}/missing/t.txt"],
+    ],
+    ids=["out-in-a-missing-directory", "thresholds-a-directory", "refreeze-into-a-missing-directory"],
+)
+def test_file_errors_exit_2_without_a_traceback(tmp_path, argv):
+    done = sphlab_process([arg.format(tmp=tmp_path) for arg in argv] + ["--no-banner"])
+    lines = done.stderr.splitlines()
+    assert done.returncode == 2, done.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["residual", "--regime", "folded", "--d", "8", "--lambda", "1"],
+        ["decompose", "--d", "8", "--lambda", "1", "--nmax", "2"],
+    ],
+    ids=["residual", "decompose"],
+)
+def test_huge_samples_exit_3_before_the_draw(tmp_path, capsys, argv):
+    # (10^14 + 1) x 8 float64 entries: the draw's entry budget is checked before it is allocated
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--samples", str(10**14), "--seed", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("infeasible scale: 100000000000001 x 8 survey entries")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "text,where",
     [

@@ -330,7 +330,7 @@ def test_public_calls_return_arrays_of_their_own():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_sphere_symbol_owns_a_real_copy(d):
-    """At d <= 2 every axis of a symbol is gathered, at d = 3 all but axis 0; both copy."""
+    """At d <= 3 every axis of a symbol is gathered by frequency into an array of its own."""
     scratch = _Scratch((), d, 8, (4,))
     symbol = scratch.symbols[4]
     assert symbol.dtype == np.float64 and symbol.shape == (8,) * d
@@ -390,10 +390,13 @@ def expand(symbol, d, side):
 def full_gather_symbol(scratch, points):
     """Oracle: the multiplier of the mean over ``points`` gathered on every axis, (L,)*d.
 
-    The weights grid through the package's ``_forward`` with the rows
-    ``_Scratch._symbol`` reads, each axis divided by its rows' squared
-    norms, then ``grid[np.ix_(*(freq,) * gathered)]``: the symbol as it was
-    held before its leading axes were kept by frequency.
+    The symbol's earlier two-route build: the weights grid through the
+    package's ``_forward``, at d <= 2 with the cosine rows on every axis,
+    at d >= 3 with each basis row's own cosine row on axis 0, which writes
+    m_0 in basis order; each axis divided by its rows' squared norms, then
+    ``grid[np.ix_(*(freq,) * gathered)]`` on the axes still by frequency:
+    the symbol as it was held before its leading axes were kept by
+    frequency and before every axis took the cosine rows.
     """
     d, side = scratch.d, scratch.side
     weights = np.zeros((side,) * d)
@@ -457,14 +460,20 @@ def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
 
 
 @pytest.mark.parametrize("lead", [(), (2,), (2, 2, 2)], ids=["real", "complex", "matrix"])
-@pytest.mark.parametrize("d,side", [(4, 6), (5, 5), (5, 12), (6, 4), (6, 5), (6, 11)])
+@pytest.mark.parametrize(
+    "d,side",
+    [(1, 12), (1, 4096), (2, 9), (2, 406), (3, 8), (3, 9), (3, 32)]
+    + [(4, 6), (5, 5), (5, 12), (6, 4), (6, 5), (6, 11)],
+)
 def test_compact_symbol_expands_to_the_full_gather(d, side, lead):
-    """A symbol holds its first k = d - 3 torus axes by frequency and the last three by basis row.
+    """A symbol holds its first k = max(d - 3, 0) torus axes by frequency and the last min(d, 3) by basis row.
 
+    Every axis goes through the cosine rows, by one route at every d.
     Read at each basis row's frequency on those k axes, it equals the
-    symbol gathered on every axis bit for bit: for spheres, and for the
-    mean over +-j e_j, j = 1..d, which tells every axis apart, so the
-    compact axes must be the leading ones of the spectrum's layout.
+    symbol of the earlier two-route build (``full_gather_symbol``) bit
+    for bit: for spheres, and for the mean over +-j e_j, j = 1..d, which
+    tells every axis apart, so the compact axes must be the leading ones
+    of the spectrum's layout.
     """
     lams = (1, 4)
     scratch = _Scratch(lead, d, side, lams)
@@ -473,7 +482,7 @@ def test_compact_symbol_expands_to_the_full_gather(d, side, lead):
     symbols.append((scratch._symbol(anisotropic), anisotropic))
     buffers = (*scratch.work, scratch.spectrum, scratch.maximum)
     for symbol, points in symbols:
-        assert symbol.shape == (side // 2 + 1,) * (d - 3) + (side,) * 3
+        assert symbol.shape == (side // 2 + 1,) * max(d - 3, 0) + (side,) * min(d, 3)
         assert symbol.flags.c_contiguous and symbol.flags.owndata and not symbol.flags.writeable
         assert not any(np.shares_memory(symbol, buffer) for buffer in buffers)
         full = expand(symbol, d, side)
@@ -721,6 +730,25 @@ def test_scratch_keeps_one_basis_matrix():
         tracemalloc.stop()
     assert not hasattr(scratch, "inverse")
     assert retained <= 32.2 * mib and peak <= 33.5 * mib
+
+
+def test_symbol_gather_offsets_take_no_array_of_their_own():
+    """A real (2, 406) scratch with three symbols peaks at 10.20 MiB, near what it retains.
+
+    It retains 8 L^2 doubles, 10.06 MiB: the basis, two work buffers, the
+    spectrum, the running maximum and three symbols.  Each symbol's gather
+    reads one flat offset per entry, L^2 of them at d = 2, built in the
+    running maximum; an (L, L) intp array of its own would add 1.26 MiB.
+    """
+    side, mib = 406, 2**20
+    tracemalloc.start()
+    try:
+        scratch = _Scratch((), 2, side, (1, 4, 16))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scratch.symbols) == 3
+    assert retained >= 8 * side**2 * 8 and peak <= 10.20 * mib
 
 
 def test_basis_builds_only_the_distinct_rows_of_residues():
