@@ -3,12 +3,13 @@
 One command per process; every randomized command requires an explicit
 seed, and output is CSV written once at the end (stdout or --out).  Exit
 codes: 0 success, 1 verification failure, 2 usage error, 3 infeasible
-scale.
+scale.  ``sphlab COMMAND --flag value --flag=value ...`` is read by the
+tables ``_FLAGS`` and ``_COMMANDS``, not argparse, whose parser took a cold
+command about 5 ms to build: whole flag names only, booleans by presence.
 """
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import hashlib
 import importlib.resources
@@ -16,6 +17,8 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
+from typing import NoReturn
 
 import numpy as np
 
@@ -116,7 +119,7 @@ def _round_up_sig(value: float, digits: int = 4) -> float:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Comma-separated integers; an empty list raises ValueError, which argparse reports."""
+    """Comma-separated integers; an empty list raises ValueError, which the parser reports."""
     values = [int(v) for v in text.split(",") if v.strip() != ""]
     if not values:
         raise ValueError(f"no integers in {text!r}")
@@ -257,146 +260,154 @@ def cmd_maximal_survey(args) -> int:
     return 1 if failed else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sphlab",
-        description="verification surveys for discrete spherical averages and their symbols",
-    )
-    parser.add_argument("--config", help="key=value file supplying flag defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="CSV output path (default stdout)")
-    common.add_argument("--no-banner", action="store_true", help="omit the timestamp comment line")
-
-    p = sub.add_parser("verify-gauss", parents=[common], help="Gauss-sum identity sweep")
-    p.add_argument("--qmax", type=int, required=False)
-    p.add_argument("--d", type=int, required=False)
-
-    p = sub.add_parser("residual", parents=[common], help="symbol-approximation residual survey")
-    p.add_argument("--regime", choices=["small", "intermediate", "folded"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--lambda", dest="lam", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--thresholds", help="pilot threshold file (default: packaged)")
-    p.add_argument("--refreeze", action="store_true", help="store this run as the new pilot")
-
-    p = sub.add_parser("ratio-survey", parents=[common], help="sphere-count density ratios")
-    p.add_argument("--d", type=int)
-    p.add_argument("--lambdas", type=_parse_int_list, help="comma-separated squared radii")
-
-    p = sub.add_parser("decompose", parents=[common], help="arc decomposition bookkeeping")
-    p.add_argument("--d", type=int)
-    p.add_argument("--lambda", dest="lam", type=int)
-    p.add_argument("--nmin", type=int, default=1)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=float, default=COEFF_COST_BUDGET)
-
-    p = sub.add_parser("maximal-survey", parents=[common], help="dyadic maximal ratio table")
-    p.add_argument("--dims", type=_parse_int_list)
-    p.add_argument("--sides", type=_parse_int_list, help="torus side(s), one or one per dim")
-    p.add_argument("--scales", type=_parse_int_list, default=[0, 1, 2])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--fiber-trials", type=int, default=2, help="n=2 majorant solves to report")
-    p.add_argument("--fiber-sites", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=500, help="p=2 solver budget of dual sweeps")
-    p.add_argument("--thresholds")
-    p.add_argument("--refreeze", action="store_true")
-
-    return parser
-
-
-_REQUIRED = {
-    "verify-gauss": ["qmax", "d"],
-    "residual": ["regime", "d", "lam", "samples", "seed"],
-    "ratio-survey": ["d", "lambdas"],
-    "decompose": ["d", "lam", "nmax", "samples", "seed"],
-    "maximal-survey": ["dims", "sides", "trials", "seed"],
-}
-
-_COMMANDS = {
-    "verify-gauss": cmd_verify_gauss,
-    "residual": cmd_residual,
-    "ratio-survey": cmd_ratio_survey,
-    "decompose": cmd_decompose,
-    "maximal-survey": cmd_maximal_survey,
-}
-
-
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+# each flag's attribute, reader (None: a boolean set by its presence), default (...: required) and help
+_FLAGS = {
+    "--out": ("out", str, None, "CSV output path (default stdout)"),
+    "--no-banner": ("no_banner", None, False, "omit the timestamp comment line"),
+    "--qmax": ("qmax", int, ..., "largest denominator q"),
+    "--d": ("d", int, ..., "dimension"),
+    "--regime": ("regime", {"small": "small", "intermediate": "intermediate", "folded": "folded"}.__getitem__,
+                 ..., "small, intermediate or folded"),
+    "--lambda": ("lam", int, ..., "squared radius"),
+    "--lambdas": ("lambdas", _parse_int_list, ..., "comma-separated squared radii"),
+    "--samples": ("samples", int, ..., "random frequencies drawn besides xi = 0"),
+    "--seed": ("seed", int, ..., "Philox seed"),
+    "--nmin": ("nmin", int, 1, "smallest arc cutoff"),
+    "--nmax": ("nmax", int, ..., "largest arc cutoff"),
+    "--budget": ("budget", float, COEFF_COST_BUDGET, "cost budget of the coefficient extraction"),
+    "--dims": ("dims", _parse_int_list, ..., "comma-separated dimensions"),
+    "--sides": ("sides", _parse_int_list, ..., "torus side(s), one or one per dim"),
+    "--scales": ("scales", _parse_int_list, [0, 1, 2], "comma-separated dyadic exponents of the radii"),
+    "--trials": ("trials", int, ..., "Gaussian fields per torus"),
+    "--fiber-trials": ("fiber_trials", int, 2, "n=2 majorant solves to report"),
+    "--fiber-sites": ("fiber_sites", int, 8, "sites of each majorant stack"),
+    "--tol": ("tol", float, 1e-6, "certified gap the majorant solves must reach"),
+    "--max-iter": ("max_iter", int, 500, "p=2 solver budget of dual sweeps"),
+    "--thresholds": ("thresholds", str, None, "pilot threshold file (default: packaged)"),
+    "--refreeze": ("refreeze", None, False, "store this run as the new pilot"),
+}
+# each command's function, help and flags, --out and --no-banner first
+_COMMANDS = {
+    "verify-gauss": (cmd_verify_gauss, "Gauss-sum identity sweep", ("--out", "--no-banner", "--qmax", "--d")),
+    "residual": (cmd_residual, "symbol-approximation residual survey", ("--out", "--no-banner", "--regime",
+                 "--d", "--lambda", "--samples", "--seed", "--thresholds", "--refreeze")),
+    "ratio-survey": (cmd_ratio_survey, "sphere-count density ratios", ("--out", "--no-banner", "--d", "--lambdas")),
+    "decompose": (cmd_decompose, "arc decomposition bookkeeping", ("--out", "--no-banner", "--d", "--lambda",
+                  "--nmin", "--nmax", "--samples", "--seed", "--budget")),
+    "maximal-survey": (cmd_maximal_survey, "dyadic maximal ratio table", ("--out", "--no-banner", "--dims",
+                       "--sides", "--scales", "--trials", "--seed", "--fiber-trials", "--fiber-sites", "--tol",
+                       "--max-iter", "--thresholds", "--refreeze")),
+}
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold key=value config lines in as flag defaults (flags still win).
+def _help(command: str | None) -> str:
+    """The usage line, then the help of every command (or of the one) and of its flags."""
+    names, flags = (_COMMANDS, _FLAGS) if command is None else ([command], _COMMANDS[command][2])
+    return "\n".join([
+        f"usage: sphlab {command or '[--config PATH] COMMAND'} [--flag VALUE | --flag=VALUE ...]",
+        *(f"  {name:16}{_COMMANDS[name][1]}" for name in names),
+        "flags (--config PATH reads their defaults from key = value lines):",
+        *(f"  {flag:16}{_FLAGS[flag][3]}{' (required)' if _FLAGS[flag][2] is ... else ''}" for flag in flags),
+    ])
 
-    A key is a flag without its dashes (``lambda``, ``fiber-sites``) and sets
-    that flag's default, read by the flag's own ``type``, in every subcommand
-    that has it; a key that none has, or a value it cannot read, raises
-    ValueError.
-    """
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    """A usage error: the usage line and one error line on stderr, then exit 2."""
+    prog = "sphlab" if command is None else f"sphlab {command}"
+    print(_help(command).split("\n", 1)[0], f"{prog}: error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _read(flag: str, text: str, command: str | None, where: str = ""):
+    """The flag's value read from text by its reader, a boolean by ``_BOOLEANS``; a usage error if it cannot."""
+    read = _FLAGS[flag][1]
+    try:
+        return _BOOLEANS[text.lower()] if read is None else read(text)
+    except (KeyError, ValueError):
+        _fail(command, f"{where}{flag} cannot take {text!r} ({_FLAGS[flag][3]})")
+
+
+def _split_values(argv: list[str]) -> list[str]:
+    """argv with each ``--flag=value`` split into ``--flag`` and ``value``."""
+    return [part for token in argv for part in (token.split("=", 1) if token.startswith("--") else [token])]
+
+
+def _config_defaults(argv: list[str]) -> tuple[list[str], dict]:
+    """argv without its ``--config PATH``, and the flag defaults set by that file's ``key = value`` lines."""
     if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        parser.error("--config needs a path")
-    path = argv[idx + 1]
-    subcommands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
-    with open(path) as fh:
-        for lineno, _, key, value in _key_values(fh):
-            flag = "--" + key.replace("_", "-")
-            owners = [sub for sub in subcommands if flag in sub._option_string_actions]  # noqa: SLF001
-            if not owners or flag == "--help":
-                raise ValueError(f"{path}:{lineno}: no subcommand has the flag {flag}")
-            for sub in owners:
-                action = sub._option_string_actions[flag]  # noqa: SLF001
-                try:
-                    if action.nargs == 0:  # a flag without a value reads a boolean
-                        parsed = _BOOLEANS[value.lower()]
-                    else:
-                        parsed = value if action.type is None else action.type(value)
-                except (KeyError, ValueError):
-                    raise ValueError(f"{path}:{lineno}: {flag} cannot take {value!r}") from None
-                sub.set_defaults(**{action.dest: parsed})
-    return argv[:idx] + argv[idx + 2 :]
+        return argv, {}
+    at = argv.index("--config")
+    if at + 1 == len(argv):
+        _fail(None, "--config needs a path")
+    path, defaults = argv[at + 1], {}
+    try:
+        with open(path) as fh:
+            lines = list(_key_values(fh))
+    except (OSError, ValueError) as exc:
+        _fail(None, f"--config: {exc}")
+    for lineno, _, key, value in lines:
+        flag, where = "--" + key.replace("_", "-"), f"--config: {path}:{lineno}: "
+        if flag not in _FLAGS:
+            _fail(None, f"{where}no subcommand has the flag {flag}")
+        defaults[flag] = _read(flag, value, None, where)
+    return argv[:at] + argv[at + 2 :], defaults
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command in argv[0] and the values of its flags, the last of a repeated flag winning."""
+    argv, defaults = _config_defaults(_split_values(argv))
+    command = argv[0] if argv else None
+    if "-h" in argv or "--help" in argv:
+        print(_help(command if command in _COMMANDS else None))
+        raise SystemExit(0)
+    if command not in _COMMANDS:
+        _fail(None, f"the first argument must be a command: {', '.join(_COMMANDS)}")
+    flags = _COMMANDS[command][2]
+    values = {flag: defaults.get(flag, _FLAGS[flag][2]) for flag in flags}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in flags:
+            _fail(command, f"unrecognized argument {token!r}")
+        text = "yes" if _FLAGS[token][1] is None else next(tokens, None)
+        if text is None or text.startswith("--"):
+            _fail(command, f"{token} needs a value")
+        values[token] = _read(token, text, command)
+    missing = [flag for flag, value in values.items() if value is ...]
+    if missing:
+        _fail(command, f"missing required flags: {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{_FLAGS[flag][0]: value for flag, value in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _apply_config(parser, argv)
-    except (OSError, ValueError) as exc:
-        parser.error(f"--config: {exc}")
-    args = parser.parse_args(argv)
-    missing = [name for name in _REQUIRED[args.command] if getattr(args, name) is None]
-    if missing:
-        parser.error(f"missing required flags for {args.command}: {', '.join(missing)}")
-    if args.command == "residual" and args.lam == 0:
-        parser.error("the residual survey needs lambda >= 1")
-    if args.command == "ratio-survey" and any(lam <= 0 for lam in args.lambdas):
-        parser.error("ratio-survey needs strictly positive lambda values")
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    command = args.command
+    if command == "residual" and args.lam == 0:
+        _fail(command, "the residual survey needs lambda >= 1")
+    if command == "ratio-survey" and any(lam <= 0 for lam in args.lambdas):
+        _fail(command, "ratio-survey needs strictly positive lambda values")
     for name in ("tol", "budget"):
         value = getattr(args, name, None)
         if value is not None and not (math.isfinite(value) and value > 0.0):
-            parser.error(f"--{name} must be finite and positive, got {value!r}")
-    for name, low in (
-        ("samples", 0), ("seed", 0), ("fiber_trials", 0), ("fiber_sites", 1), ("max_iter", 1)
-    ):
+            _fail(command, f"--{name} must be finite and positive, got {value!r}")
+    for name, low in (("samples", 0), ("seed", 0), ("fiber_trials", 0), ("fiber_sites", 1), ("max_iter", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:
-            parser.error(f"--{name.replace('_', '-')} must be >= {low}, got {value}")
-    if args.command == "decompose" and not 1 <= args.nmin <= args.nmax:
-        parser.error(f"decompose needs 1 <= --nmin <= --nmax, got {args.nmin} and {args.nmax}")
-    thresholds = getattr(args, "thresholds", None)
-    if thresholds and not args.refreeze and not os.path.exists(thresholds):
-        parser.error(f"--thresholds file {thresholds} does not exist (pass --refreeze to create it)")
+            _fail(command, f"--{name.replace('_', '-')} must be >= {low}, got {value}")
+    if command == "decompose" and not 1 <= args.nmin <= args.nmax:
+        _fail(command, f"decompose needs 1 <= --nmin <= --nmax, got {args.nmin} and {args.nmax}")
+    thresholds, refreeze = getattr(args, "thresholds", None), getattr(args, "refreeze", False)
+    if thresholds and not refreeze and not os.path.exists(thresholds):
+        _fail(command, f"--thresholds file {thresholds} does not exist (pass --refreeze to create it)")
+    # the CSV and a refrozen pilot are written after the run; fail before it if they cannot be
+    for path in filter(None, (args.out, thresholds if refreeze else None)):
+        folder = os.path.dirname(path) or "."
+        why = "it is a directory" if os.path.isdir(path) else "" if os.path.isdir(folder) else f"no directory {folder}"
+        if why:
+            print(f"error: cannot write {path}: {why}", file=sys.stderr)
+            return 2
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[command][0](args)
     except InfeasibleScale as exc:
         print(f"infeasible scale: {exc}", file=sys.stderr)
         return 3

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -478,16 +479,29 @@ def test_missing_thresholds_file_exit_2(tmp_path):
 
 
 SCIPY_FREE_PROBE = """
-import json, sys
+import contextlib, io, json, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import sphlab.cli
 loaded = set(sys.modules)
 codes = [sphlab.cli.main(argv) for argv in json.loads(sys.argv[1])]
+helps = []
+for argv in (["--help"], ["maximal-survey", "--help"]):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        try:
+            sphlab.cli.main(argv)
+        except SystemExit as exc:
+            helps.append([exc.code, text.getvalue()])
 from sphlab import order_interval_majorant, random_hermitian_stack
 solution = order_interval_majorant(random_hermitian_stack(3, 4, 2, 5), 2.0)
 late = sorted(m for m in set(sys.modules) - loaded if m == "numpy" or m.startswith("numpy."))
-print(json.dumps({"codes": codes, "converged": bool(solution.converged), "late_numpy": late}))
+parsers = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+print(json.dumps({"codes": codes, "converged": bool(solution.converged), "late_numpy": late,
+                  "parsers": parsers, "helps": helps}))
 """
+
+
+def listed_flags(help_text: str) -> list[str]:
+    return [line.split()[0] for line in help_text.splitlines() if line.startswith("  --")]
 
 
 def test_commands_run_without_scipy(tmp_path):
@@ -511,7 +525,13 @@ def test_commands_run_without_scipy(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout.strip().splitlines()[-1])
-    assert report == {"codes": [0] * len(commands), "converged": True, "late_numpy": []}
+    helps = report.pop("helps")
+    # no command loads argparse, nor the gettext and locale modules it pulls in
+    assert report == {"codes": [0] * len(commands), "converged": True, "late_numpy": [], "parsers": []}
+    assert [code for code, _ in helps] == [0, 0]
+    assert listed_flags(helps[0][1]) == list(cli._FLAGS)
+    assert listed_flags(helps[1][1]) == list(cli._COMMANDS["maximal-survey"][2])
+    assert set(cli._FLAGS) == {flag for _, _, flags in cli._COMMANDS.values() for flag in flags}
     assert all((tmp_path / f"{i}.csv").stat().st_size > 0 for i in range(len(commands)))
 
 
@@ -607,21 +627,321 @@ def test_config_unknown_key_or_bad_value_exit_2(tmp_path, capsys, text, where):
 
 
 def test_config_keys_take_their_flags_types(tmp_path):
-    from sphlab.cli import _apply_config, _build_parser
-
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "regime = folded\nd = 8\nlambda = 4\nsamples = 5\nseed = 9\nno_banner = yes\n"
         "fiber-sites = 3\nmax_iter = 7\ntol = 1e-3\nscales = 0,1\n"
     )
-    parser = _build_parser()
-    args = parser.parse_args(_apply_config(parser, ["--config", str(cfg), "maximal-survey"]))
+    args = cli._parse(["--config", str(cfg), "maximal-survey", "--dims", "2", "--sides", "8", "--trials", "1"])
     assert (args.fiber_sites, args.max_iter, args.tol, args.scales) == (3, 7, 1e-3, [0, 1])
     assert args.no_banner is True and args.seed == 9
     out = tmp_path / "r.csv"
     assert main(["--config", str(cfg), "residual", "--out", str(out)]) == 0
     assert out.read_text().startswith("xi_hash,")
     assert len(out.read_text().splitlines()) == 1 + 6 + 1
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """Oracle: the argparse parser the CLI read its command lines with before its flag table."""
+    parser = argparse.ArgumentParser(
+        prog="sphlab",
+        description="verification surveys for discrete spherical averages and their symbols",
+    )
+    parser.add_argument("--config", help="key=value file supplying flag defaults")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="CSV output path (default stdout)")
+    common.add_argument("--no-banner", action="store_true", help="omit the timestamp comment line")
+
+    p = sub.add_parser("verify-gauss", parents=[common], help="Gauss-sum identity sweep")
+    p.add_argument("--qmax", type=int, required=False)
+    p.add_argument("--d", type=int, required=False)
+
+    p = sub.add_parser("residual", parents=[common], help="symbol-approximation residual survey")
+    p.add_argument("--regime", choices=["small", "intermediate", "folded"])
+    p.add_argument("--d", type=int)
+    p.add_argument("--lambda", dest="lam", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--thresholds", help="pilot threshold file (default: packaged)")
+    p.add_argument("--refreeze", action="store_true", help="store this run as the new pilot")
+
+    p = sub.add_parser("ratio-survey", parents=[common], help="sphere-count density ratios")
+    p.add_argument("--d", type=int)
+    p.add_argument("--lambdas", type=cli._parse_int_list, help="comma-separated squared radii")
+
+    p = sub.add_parser("decompose", parents=[common], help="arc decomposition bookkeeping")
+    p.add_argument("--d", type=int)
+    p.add_argument("--lambda", dest="lam", type=int)
+    p.add_argument("--nmin", type=int, default=1)
+    p.add_argument("--nmax", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=float, default=cli.COEFF_COST_BUDGET)
+
+    p = sub.add_parser("maximal-survey", parents=[common], help="dyadic maximal ratio table")
+    p.add_argument("--dims", type=cli._parse_int_list)
+    p.add_argument("--sides", type=cli._parse_int_list, help="torus side(s), one or one per dim")
+    p.add_argument("--scales", type=cli._parse_int_list, default=[0, 1, 2])
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--fiber-trials", type=int, default=2, help="n=2 majorant solves to report")
+    p.add_argument("--fiber-sites", type=int, default=8)
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iter", type=int, default=500, help="p=2 solver budget of dual sweeps")
+    p.add_argument("--thresholds")
+    p.add_argument("--refreeze", action="store_true")
+
+    return parser
+
+
+ARGPARSE_REQUIRED = {
+    "verify-gauss": ["qmax", "d"],
+    "residual": ["regime", "d", "lam", "samples", "seed"],
+    "ratio-survey": ["d", "lambdas"],
+    "decompose": ["d", "lam", "nmax", "samples", "seed"],
+    "maximal-survey": ["dims", "sides", "trials", "seed"],
+}
+ARGPARSE_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def argparse_apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Oracle: fold key=value config lines in as the argparse parser's flag defaults (flags still win)."""
+    if "--config" not in argv:
+        return argv
+    idx = argv.index("--config")
+    if idx + 1 >= len(argv):
+        parser.error("--config needs a path")
+    path = argv[idx + 1]
+    subcommands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
+    with open(path) as fh:
+        for lineno, _, key, value in cli._key_values(fh):
+            flag = "--" + key.replace("_", "-")
+            owners = [sub for sub in subcommands if flag in sub._option_string_actions]  # noqa: SLF001
+            if not owners or flag == "--help":
+                raise ValueError(f"{path}:{lineno}: no subcommand has the flag {flag}")
+            for sub in owners:
+                action = sub._option_string_actions[flag]  # noqa: SLF001
+                try:
+                    if action.nargs == 0:  # a flag without a value reads a boolean
+                        parsed = ARGPARSE_BOOLEANS[value.lower()]
+                    else:
+                        parsed = value if action.type is None else action.type(value)
+                except (KeyError, ValueError):
+                    raise ValueError(f"{path}:{lineno}: {flag} cannot take {value!r}") from None
+                sub.set_defaults(**{action.dest: parsed})
+    return argv[:idx] + argv[idx + 2 :]
+
+
+def argparse_parse(argv: list[str]) -> dict:
+    """Oracle: the attributes the argparse route gave the command, up to its required-flag check."""
+    parser = argparse_parser()
+    try:
+        argv = argparse_apply_config(parser, list(argv))
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config: {exc}")
+    args = parser.parse_args(argv)
+    missing = [name for name in ARGPARSE_REQUIRED[args.command] if getattr(args, name) is None]
+    if missing:
+        parser.error(f"missing required flags for {args.command}: {', '.join(missing)}")
+    return {name: value for name, value in vars(args).items() if name != "config"}
+
+
+def shell_commands(path: str, prefix: str = "sphlab ") -> list[list[str]]:
+    """The argv of every line of a text file that runs ``sphlab``, backslash continuations joined."""
+    with open(path) as fh:
+        text = fh.read().replace("\\\n", " ")
+    return [shlex.split(line.strip())[1:] for line in text.splitlines() if line.strip().startswith(prefix)]
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_ARGV_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import run
+jobs = [job for name in ("surveys", "maximal") for smoke in (False, True) for job in run.WORKLOADS[name](101, smoke)]
+print(json.dumps([job["argv"] for job in jobs]))
+"""
+# the CI steps' command lines, their shell loops written out
+CI_COMMANDS = [
+    *(["residual", "--regime", "folded", "--d", str(d), "--lambda", str(lam), "--samples", "1000", "--seed", "42",
+       "--no-banner"] for d in (8, 16) for lam in (1, 4, 16)),
+    ["residual", "--regime", "small", "--d", "25", "--lambda", "1", "--samples", "1000", "--seed", "42", "--no-banner"],
+    ["residual", "--regime", "intermediate", "--d", "10", "--lambda", "1000", "--samples", "2000", "--seed", "42",
+     "--no-banner"],
+    ["maximal-survey", "--dims", "2,3,4,5", "--sides", "32,32,16,12", "--scales", "0,1,2", "--trials", "8",
+     "--seed", "7", "--fiber-trials", "8", "--fiber-sites", "32", "--no-banner"],
+    ["maximal-survey", "--dims", "6", "--sides", "11", "--scales", "0,1,2", "--trials", "2", "--seed", "7",
+     "--fiber-trials", "1", "--fiber-sites", "2", "--no-banner"],
+    ["maximal-survey", "--dims", "1,2", "--sides", "4096,406", "--scales", "0,1,2", "--trials", "2", "--seed", "7",
+     "--fiber-trials", "1", "--fiber-sites", "2", "--no-banner"],
+    *(["maximal-survey", "--dims", "2", "--sides", side, "--scales", scales, "--trials", "1", "--seed", "7",
+       "--fiber-trials", "1", "--fiber-sites", sites, *extra, "--no-banner"]
+      for side, scales, sites, extra in (("8", "0,1", "4096", ()), ("8", "0,1", "32768", ()),
+                                         ("16", "0,1,2", "2048", ()), ("16", "0,1,2", "2048", ("--max-iter", "50")),
+                                         ("8", "0,1", "1000000000000000", ()))),
+    ["maximal-survey", "--dims", "4", "--sides", "33", "--scales", "0,1,2", "--trials", "1", "--seed", "7",
+     "--no-banner"],
+    ["verify-gauss", "--qmax", "48", "--d", "8", "--no-banner"],
+    ["decompose", "--d", "5", "--lambda", "1024", "--nmax", "33", "--samples", "2", "--seed", "1", "--no-banner"],
+    ["ratio-survey", "--d", "8", "--lambdas", "5", "--out", "missing/x.csv"],
+    ["residual", "--regime", "folded", "--d", "8", "--lambda", "1", "--samples", "100000000000000", "--seed", "1",
+     "--no-banner"],
+    ["residual", "--regime", "small", "--d", "2000", "--lambda", "1", "--samples", "1", "--seed", "1", "--no-banner"],
+    ["ratio-survey", "--d", "400", "--lambdas", "1", "--no-banner"],
+    ["decompose", "--d", "190", "--lambda", "4", "--nmax", "2", "--samples", "1", "--seed", "1", "--no-banner"],
+    ["ratio-survey", "--d", "300", "--lambdas", "2000", "--no-banner"],
+    ["residual", "--regime", "folded", "--d", "8", "--lambda", "1", "--samples", "1", "--seed", "1"],
+]
+# forms of the same flags the README and CI do not write
+EQUALS_COMMANDS = [
+    ["residual", "--regime=folded", "--d=8", "--lambda=4", "--samples=5", "--seed=9", "--out=r.csv"],
+    ["maximal-survey", "--dims=2,3", "--sides", "8", "--scales=0,1", "--trials=1", "--seed", "7",
+     "--fiber-trials=1", "--fiber-sites=4", "--tol=1e-9", "--max-iter=50", "--thresholds=t.txt", "--no-banner"],
+    ["decompose", "--d=5", "--lambda=16", "--nmin=2", "--nmax=5", "--samples=1", "--seed=1", "--budget=1e6"],
+    ["ratio-survey", "--d=4", "--lambdas=1,2,3", "--out=a=b.csv"],
+    ["verify-gauss", "--qmax=6", "--d=8"],
+]
+OTHER_COMMANDS = [
+    ["residual", "--regime", "folded", "--d", "8", "--lambda", "4", "--samples", "5", "--seed", "-1"],
+    ["verify-gauss", "--qmax", "6", "--d", "4", "--d", "5", "--no-banner", "--no-banner"],
+    ["ratio-survey", "--lambdas", "1,2", "--d", "4", "--lambdas", "3,,4"],
+    ["maximal-survey", "--dims", "2", "--sides", "8", "--trials", "1", "--seed", "7", "--refreeze", "--tol=-inf"],
+]
+# {cfg} is a config file setting d, lambda, samples, seed, no_banner, fiber-sites and max_iter
+CONFIG_COMMANDS = [
+    ["--config", "{cfg}", "residual", "--regime", "small"],
+    ["residual", "--regime", "small", "--config", "{cfg}", "--d", "25"],
+    ["verify-gauss", "--qmax", "6", "--config", "{cfg}"],
+    ["maximal-survey", "--dims", "2", "--sides", "8", "--trials", "1", "--max-iter", "9", "--config", "{cfg}"],
+    ["decompose", "--nmax", "3", "--config", "{cfg}", "--nmin", "2"],
+]
+CONFIG_TEXT = "d = 8\nlambda = 4\nsamples = 5\nseed = 9\nno_banner = yes\nfiber-sites = 3\nmax_iter = 7\n"
+
+
+def parse_corpus() -> list[list[str]]:
+    bench = subprocess.run(
+        [sys.executable, "-c", BENCH_ARGV_PROBE, os.path.join(REPO, "bench")],
+        env=dict(os.environ, PYTHONPATH=os.path.join(REPO, "src")), capture_output=True, text=True, check=True,
+    )
+    readme = shell_commands(os.path.join(REPO, "README.md"))
+    assert len(readme) == 8
+    return readme + CI_COMMANDS + json.loads(bench.stdout) + EQUALS_COMMANDS + OTHER_COMMANDS + CONFIG_COMMANDS
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    cfg = tmp_path_factory.mktemp("config") / "run.cfg"
+    cfg.write_text(CONFIG_TEXT)
+    return [[arg.format(cfg=cfg) for arg in argv] for argv in parse_corpus()]
+
+
+def test_parse_matches_the_argparse_oracle(corpus):
+    # every command line of the README, the CI steps and the benchmark, plus the
+    # --flag=value forms, a negative seed, repeated flags and config defaults
+    assert len(corpus) > 60
+    for argv in corpus:
+        assert vars(cli._parse(argv)) == argparse_parse(argv), argv
+
+
+def test_config_path_may_follow_an_equals_sign(corpus):
+    # argparse read "--config=PATH" only before the command, and then ignored the file
+    for argv in corpus:
+        if "--config" in argv:
+            at = argv.index("--config")
+            joined = argv[:at] + [f"--config={argv[at + 1]}"] + argv[at + 2 :]
+            assert vars(cli._parse(joined)) == vars(cli._parse(argv))
+
+
+def test_parse_without_splitting_values_fails_the_oracle(corpus, monkeypatch):
+    # negative control: read "--flag=value" as one token and every such line differs
+    monkeypatch.setattr(cli, "_split_values", list)
+    equals = [argv for argv in corpus if any(arg.startswith("--") and "=" in arg for arg in argv)]
+    assert len(equals) >= len(EQUALS_COMMANDS)
+    for argv in equals:
+        try:
+            parsed = vars(cli._parse(argv))
+        except SystemExit:
+            parsed = None
+        assert parsed != argparse_parse(argv), argv
+
+
+RUNNABLE = ["residual", "--regime", "folded", "--d", "8", "--lambda", "1", "--samples", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        RUNNABLE + ["--bogus", "1"],
+        RUNNABLE + ["--seed"],
+        RUNNABLE[:3] + ["--d", "--lambda", "1", "--samples", "1", "--seed", "1"],
+        RUNNABLE + ["--d", "x"],
+        RUNNABLE + ["--samples=1.5"],
+        RUNNABLE + ["--regime", "bogus"],
+        RUNNABLE + ["stray"],
+        RUNNABLE + ["--refreeze=1"],
+        RUNNABLE + ["--lambdas", "1"],
+        RUNNABLE[:-2],
+        ["ratio-survey", "--d", "4", "--lambdas", ","],
+        ["--no-banner"] + RUNNABLE,
+        [],
+        ["bogus"],
+        ["--config"],
+    ],
+    ids=["unknown-flag", "missing-value", "flag-for-value", "bad-int", "bad-int-equals", "bad-choice",
+         "stray-positional", "boolean-with-value", "flag-of-another-command", "missing-required",
+         "empty-int-list", "flag-before-command", "no-command", "unknown-command", "config-without-path"],
+)
+def test_bad_argv_exits_2_on_both_parsers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        argparse_parse(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert captured.out == "" and usage.startswith("usage: sphlab ")
+    assert error.startswith("sphlab: error: " if not argv or argv[0] not in cli._COMMANDS else f"sphlab {argv[0]}: error: ")
+
+
+def test_abbreviated_flags_are_no_longer_accepted(capsys):
+    # argparse took a unique prefix of a flag; the flag table takes whole names only
+    argv = RUNNABLE[:5] + ["--lamb", "1"] + RUNNABLE[7:]
+    assert argparse_parse(argv) == argparse_parse(RUNNABLE)
+    with pytest.raises(SystemExit) as exc:
+        cli._parse(argv)
+    assert exc.value.code == 2
+    assert "unrecognized argument '--lamb'" in capsys.readouterr().err
+
+
+RATIO_ARGV = ["ratio-survey", "--d", "8", "--lambdas", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,path",
+    [
+        (RATIO_ARGV, "--out", "{tmp}/missing/x.csv"),
+        (RATIO_ARGV, "--out", "{tmp}"),
+        (RESIDUAL_ARGV + ["--refreeze"], "--thresholds", "{tmp}/missing/t.txt"),
+        (RESIDUAL_ARGV + ["--refreeze"], "--thresholds", "{tmp}"),
+        (MAXIMAL_ARGV + ["--refreeze"], "--thresholds", "{tmp}/missing/t.txt"),
+    ],
+    ids=["out-in-a-missing-directory", "out-a-directory", "refreeze-into-a-missing-directory",
+         "refreeze-into-a-directory", "maximal-refreeze-into-a-missing-directory"],
+)
+def test_unwritable_outputs_exit_2_before_the_command_runs(tmp_path, monkeypatch, capsys, argv, flag, path):
+    ran = []
+    _, text, flags = cli._COMMANDS[argv[0]]
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (lambda args: ran.append(args.command) or 0, text, flags))
+    assert main(argv + [flag, path.format(tmp=tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: cannot write ")
+    # the spy runs once the path can be written
+    assert main(argv + [flag, str(tmp_path / "ok.txt")]) == 0 and ran == [argv[0]]
 
 
 def per_cell_format(value) -> str:
