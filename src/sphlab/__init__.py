@@ -9,7 +9,6 @@ The ``sphlab`` command drives the batch verification surveys.
 """
 
 from .errors import (
-    CapExceeded,
     DomainError,
     EmptySphere,
     InfeasibleScale,

@@ -23,7 +23,7 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import InfeasibleScale, RegimeViolation, SphlabError
-from .gauss import COEFF_COST_BUDGET, decompose_arcs, verify_gauss_identities
+from .gauss import decompose_arcs, verify_gauss_identities
 from .lattice import SphereSpec, _ratio_from_count, sphere_counts, surface_measure
 from .ncmax import empirical_maximal_ratio, order_interval_majorants, random_hermitian_stack
 from .fields import DyadicRange
@@ -184,7 +184,7 @@ def cmd_decompose(args) -> int:
     spec = SphereSpec(args.d, args.lam)
     points = _survey_points(args.d, args.samples, args.seed)
     cutoffs = range(args.nmin, args.nmax + 1)
-    arcs = decompose_arcs(spec, points, cutoffs, budget=args.budget)
+    arcs = decompose_arcs(spec, points, cutoffs)
     # hypot is the scalar complex abs; numpy's vectorized complex abs can differ in the last bit
     columns = [np.hypot(part.real, part.imag).tolist() for part in (arcs.major, arcs.minor, arcs.error)]
     rows = [
@@ -275,7 +275,6 @@ _FLAGS = {
     "--seed": ("seed", int, ..., "Philox seed"),
     "--nmin": ("nmin", int, 1, "smallest arc cutoff"),
     "--nmax": ("nmax", int, ..., "largest arc cutoff"),
-    "--budget": ("budget", float, COEFF_COST_BUDGET, "cost budget of the coefficient extraction"),
     "--dims": ("dims", _parse_int_list, ..., "comma-separated dimensions"),
     "--sides": ("sides", _parse_int_list, ..., "torus side(s), one or one per dim"),
     "--scales": ("scales", _parse_int_list, [0, 1, 2], "comma-separated dyadic exponents of the radii"),
@@ -294,7 +293,7 @@ _COMMANDS = {
                  "--d", "--lambda", "--samples", "--seed", "--thresholds", "--refreeze")),
     "ratio-survey": (cmd_ratio_survey, "sphere-count density ratios", ("--out", "--no-banner", "--d", "--lambdas")),
     "decompose": (cmd_decompose, "arc decomposition bookkeeping", ("--out", "--no-banner", "--d", "--lambda",
-                  "--nmin", "--nmax", "--samples", "--seed", "--budget")),
+                  "--nmin", "--nmax", "--samples", "--seed")),
     "maximal-survey": (cmd_maximal_survey, "dyadic maximal ratio table", ("--out", "--no-banner", "--dims",
                        "--sides", "--scales", "--trials", "--seed", "--fiber-trials", "--fiber-sites", "--tol",
                        "--max-iter", "--thresholds", "--refreeze")),
@@ -386,10 +385,9 @@ def main(argv: list[str] | None = None) -> int:
         _fail(command, "the residual survey needs lambda >= 1")
     if command == "ratio-survey" and any(lam <= 0 for lam in args.lambdas):
         _fail(command, "ratio-survey needs strictly positive lambda values")
-    for name in ("tol", "budget"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            _fail(command, f"--{name} must be finite and positive, got {value!r}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        _fail(command, f"--tol must be finite and positive, got {tol!r}")
     for name, low in (("samples", 0), ("seed", 0), ("fiber_trials", 0), ("fiber_sites", 1), ("max_iter", 1)):
         value = getattr(args, name, None)
         if value is not None and value < low:

@@ -13,10 +13,6 @@ class EmptySphere(SphlabError):
     """The requested lattice sphere contains no points."""
 
 
-class CapExceeded(SphlabError):
-    """Sphere enumeration would exceed the caller-supplied point cap."""
-
-
 class RegimeViolation(SphlabError):
     """A (dimension, squared-radius) pair violates a survey regime precondition."""
 
@@ -26,7 +22,7 @@ class RangeError(SphlabError):
 
 
 class InfeasibleScale(SphlabError):
-    """A cost estimate exceeds the configured computational budget."""
+    """A cost estimate exceeds the package constant that budgets it."""
 
 
 class NonHermitianInput(SphlabError):

@@ -43,7 +43,7 @@ __all__ = [
     "COEFF_COST_BUDGET",
 ]
 
-COEFF_COST_BUDGET = 1e10
+COEFF_COST_BUDGET = 1e10  # d lam^2, the cost estimate of decompose_arcs' coefficient extraction
 
 
 @dataclass(frozen=True, order=True)
@@ -306,9 +306,7 @@ class ArcDecomposition:
         )
 
 
-def decompose_arcs(
-    spec: SphereSpec, xis, cutoffs, budget: float = COEFF_COST_BUDGET
-) -> ArcDecomposition:
+def decompose_arcs(spec: SphereSpec, xis, cutoffs) -> ArcDecomposition:
     """Exact symbol minus arcs with denominator < n minus the tail at n, for every n.
 
     Rows of ``xis`` are frequencies.  The exact symbol is one coefficient
@@ -318,15 +316,14 @@ def decompose_arcs(
     d^(3d/4) / lam^(d/4 - 1).  The arcs and the envelope come before the
     extraction, so a cutoff out of range, or an envelope that overflows a
     float (d^(3d/4) does from d = 182 on; ``InfeasibleScale``), stops the
-    call before it pays for the extraction.
+    call before it pays for the extraction, as does an estimate d lam^2
+    above ``COEFF_COST_BUDGET``.
     """
     if spec.d < 2:
         raise DomainError("decomposition needs d >= 2")
     cost = spec.d * float(spec.lam) ** 2
-    if cost > budget:
-        raise InfeasibleScale(
-            f"coefficient extraction estimate {cost:.3e} exceeds budget {budget:.3e}"
-        )
+    if cost > COEFF_COST_BUDGET:
+        raise InfeasibleScale(f"coefficient extraction estimate {cost:.3e} exceeds budget {COEFF_COST_BUDGET:.3e}")
     xis = np.atleast_2d(np.asarray(xis, dtype=float))
     cutoffs = tuple(int(n) for n in cutoffs)
     major, minor = _cutoff_sums(spec, xis, cutoffs)
@@ -348,9 +345,7 @@ def decompose_arcs(
     )
 
 
-def decomposition_error(
-    spec: SphereSpec, n: int, xi, budget: float = COEFF_COST_BUDGET
-) -> DecompositionReport:
+def decomposition_error(spec: SphereSpec, n: int, xi) -> DecompositionReport:
     """decompose_arcs at one frequency and one cutoff n."""
     xi = np.asarray(xi, dtype=float)
-    return decompose_arcs(spec, xi[np.newaxis], (n,), budget).report(0, 0)
+    return decompose_arcs(spec, xi[np.newaxis], (n,)).report(0, 0)

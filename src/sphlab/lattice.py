@@ -3,7 +3,9 @@
 The number of representations of lam as a sum of d squares is read off as
 the z^lam coefficient of the d-th power of the truncated theta series
 sum_k z^(k^2), computed with exact integer arithmetic.  Enumeration is a
-fallback for small spheres, gated by a caller-supplied cap.
+fallback for small spheres, gated by a caller-supplied cap.  A table of
+more than ``MAX_COUNT_WORK`` slice-add steps, or a sphere above the cap,
+raises ``InfeasibleScale`` before any allocation.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, EmptySphere, InfeasibleScale
+from .errors import DomainError, EmptySphere, InfeasibleScale
 
 __all__ = [
+    "MAX_COUNT_WORK",
     "SphereSpec",
     "theta_coefficients",
     "sphere_counts",
@@ -26,6 +29,8 @@ __all__ = [
     "surface_measure",
     "density_ratio",
 ]
+
+MAX_COUNT_WORK = 1 << 33  # max(d - 1, 1) (isqrt(lam_max) + 1) (lam_max + 1), the slice-add steps of a count table
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,9 @@ def _count_table(d: int, lam_max: int) -> np.ndarray:
     """
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    work = max(d - 1, 1) * (math.isqrt(lam_max) + 1) * (lam_max + 1)
+    if work > MAX_COUNT_WORK:
+        raise InfeasibleScale(f"a count table of Z^{d} to {lam_max} takes {work} slice-adds, over {MAX_COUNT_WORK}")
     out = np.array(theta_coefficients(lam_max), dtype=_count_dtype(d, lam_max))
     for _ in range(d - 1):
         prev = out
@@ -101,9 +109,9 @@ def _count_table(d: int, lam_max: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def sphere_counts(d: int, lam_max: int) -> tuple[int, ...]:
-    """r_d(m) for m = 0..lam_max, exact, as Python ints; only this (d, lam_max) table is cached."""
+    """r_d(m) for m = 0..lam_max, exact, as Python ints; the last four (d, lam_max) tables are cached."""
     return tuple(_count_table(d, lam_max).tolist())
 
 
@@ -129,8 +137,8 @@ def _ragged_arange(starts, counts: np.ndarray) -> np.ndarray:
 def enumerate_sphere(spec: SphereSpec, cap: int) -> np.ndarray:
     """All x in Z^d with |x|^2 = lam, as an (r_d(lam), d) int64 array in lexicographic order.
 
-    Raises CapExceeded before any allocation when the exact count is above
-    ``cap`` (the caller should switch to coefficient extraction).  Built
+    Raises InfeasibleScale before any allocation when the exact count is
+    above ``cap`` (the caller should switch to coefficient extraction).  Built
     from the last coordinate up: the points with |y|^2 = m in Z^j are the
     rows (k, z), k = -isqrt(m)..isqrt(m), z over the shell m - k^2 in
     Z^(j-1); one layer of array operations per coordinate builds every
@@ -138,7 +146,7 @@ def enumerate_sphere(spec: SphereSpec, cap: int) -> np.ndarray:
     """
     count = representation_count(spec)
     if count > cap:
-        raise CapExceeded(f"sphere holds {count} points, cap is {cap}")
+        raise InfeasibleScale(f"the sphere |x|^2 = {spec.lam} in Z^{spec.d} holds {count} points, over the cap {cap}")
     # top down: each leading coordinate k pairs a remainder m with m - k^2 one layer
     # below; float sqrt floors exactly for m < 2^52, past any count table that fits
     remainders = np.array([spec.lam], dtype=np.int64)

@@ -137,12 +137,37 @@ def test_decompose_bookkeeping_columns(tmp_path):
     assert len(lines) - 1 == 3 * 3  # three cutoffs, three frequencies (xi=0 injected)
 
 
-def test_decompose_budget(tmp_path):
-    code = main(
-        ["decompose", "--d", "2", "--lambda", "100000", "--nmax", "1", "--samples", "1",
-         "--seed", "1", "--budget", "1e6", "--out", str(tmp_path / "x.csv")]
-    )
-    assert code == 3
+def test_decompose_budget(tmp_path, capsys):
+    # 2 x (10^5)^2 = 2e10 is over COEFF_COST_BUDGET at the default; --budget is no flag
+    out = tmp_path / "x.csv"
+    argv = ["decompose", "--d", "2", "--lambda", "100000", "--nmax", "1", "--samples", "1", "--seed", "1",
+            "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "infeasible scale: coefficient extraction estimate 2.000e+10 exceeds budget 1.000e+10\n"
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:4] + ["4"] + argv[5:] + ["--budget", "1e6"])
+    assert exc.value.code == 2
+    assert "unrecognized argument '--budget'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ratio-survey", "--d", "8", "--lambdas", "1000000000"],
+        ["ratio-survey", "--d", "1", "--lambdas", "1000000000"],
+        ["residual", "--regime", "intermediate", "--d", "1000", "--lambda", "1000000000", "--samples", "1",
+         "--seed", "1"],
+    ],
+)
+def test_count_table_over_its_budget_exits_3(tmp_path, capsys, argv):
+    # each table takes over 10^13 slice-adds; it is refused before its theta series is allocated
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible scale: a count table of Z^") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_maximal_survey_gate_and_solver(tmp_path):
@@ -369,7 +394,7 @@ BUDGET_ARGV = ["decompose", "--d", "5", "--lambda", "100000", "--nmax", "1", "--
 
 @pytest.mark.parametrize("value", BAD_POSITIVE)
 @pytest.mark.parametrize("name,argv", [("tol", TOL_ARGV), ("budget", BUDGET_ARGV)])
-def test_bad_tol_and_budget_exit_2(tmp_path, name, argv, value):
+def test_bad_tol_and_budget_exit_2(tmp_path, capsys, name, argv, value):
     out = ["--out", str(tmp_path / "x.csv")]
     with pytest.raises(SystemExit) as exc:
         main(argv + [f"--{name}={value}"] + out)
@@ -380,6 +405,11 @@ def test_bad_tol_and_budget_exit_2(tmp_path, name, argv, value):
         main(["--config", str(cfg)] + argv + out)
     assert exc.value.code == 2
     assert not (tmp_path / "x.csv").exists()
+    if name == "budget":
+        # --budget is no flag and budget no config key, whatever the value; 5 x (10^5)^2 is over the constant
+        err = capsys.readouterr().err
+        assert "unrecognized argument '--budget'" in err and "no subcommand has the flag --budget" in err
+        assert main(argv + out) == 3
 
 
 BASE_FLAGS = {
@@ -678,7 +708,6 @@ def argparse_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--budget", type=float, default=cli.COEFF_COST_BUDGET)
 
     p = sub.add_parser("maximal-survey", parents=[common], help="dyadic maximal ratio table")
     p.add_argument("--dims", type=cli._parse_int_list)
@@ -792,6 +821,10 @@ CI_COMMANDS = [
     ["ratio-survey", "--d", "400", "--lambdas", "1", "--no-banner"],
     ["decompose", "--d", "190", "--lambda", "4", "--nmax", "2", "--samples", "1", "--seed", "1", "--no-banner"],
     ["ratio-survey", "--d", "300", "--lambdas", "2000", "--no-banner"],
+    ["ratio-survey", "--d", "8", "--lambdas", "1000000000", "--no-banner"],
+    ["ratio-survey", "--d", "1", "--lambdas", "1000000000", "--no-banner"],
+    ["residual", "--regime", "intermediate", "--d", "1000", "--lambda", "1000000000", "--samples", "1", "--seed", "1",
+     "--no-banner"],
     ["residual", "--regime", "folded", "--d", "8", "--lambda", "1", "--samples", "1", "--seed", "1"],
 ]
 # forms of the same flags the README and CI do not write
@@ -799,7 +832,7 @@ EQUALS_COMMANDS = [
     ["residual", "--regime=folded", "--d=8", "--lambda=4", "--samples=5", "--seed=9", "--out=r.csv"],
     ["maximal-survey", "--dims=2,3", "--sides", "8", "--scales=0,1", "--trials=1", "--seed", "7",
      "--fiber-trials=1", "--fiber-sites=4", "--tol=1e-9", "--max-iter=50", "--thresholds=t.txt", "--no-banner"],
-    ["decompose", "--d=5", "--lambda=16", "--nmin=2", "--nmax=5", "--samples=1", "--seed=1", "--budget=1e6"],
+    ["decompose", "--d=5", "--lambda=16", "--nmin=2", "--nmax=5", "--samples=1", "--seed=1"],
     ["ratio-survey", "--d=4", "--lambdas=1,2,3", "--out=a=b.csv"],
     ["verify-gauss", "--qmax=6", "--d=8"],
 ]

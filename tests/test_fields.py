@@ -16,6 +16,7 @@ from sphlab import (
     dyadic_maximal,
     enumerate_sphere,
     eval_semigroup_symbol,
+    representation_count,
     spherical_average,
 )
 from sphlab.fields import MAX_DENSE_WORK, MAX_SPHERE_POINTS, _forward, _Scratch, _real_basis
@@ -681,6 +682,13 @@ def test_dense_work_budget_admits_its_largest_side():
     finally:
         tracemalloc.stop()
     assert peak <= 0.01 * 33**4 * 8
+
+
+def test_sphere_over_the_enumeration_cap_is_an_infeasible_scale():
+    """r_6(1000) = 16,601,520 points pass MAX_SPHERE_POINTS on the largest 6-d torus: exit 3, not 2."""
+    assert representation_count(SphereSpec(6, 1000)) == 16_601_520 > MAX_SPHERE_POINTS
+    with pytest.raises(InfeasibleScale, match="16601520 points, over the cap"):
+        spherical_average(TorusField.scalar(np.zeros((11,) * 6)), SphereSpec(6, 1000))
 
 
 def outer_product_basis(side: int) -> np.ndarray:

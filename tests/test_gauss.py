@@ -235,8 +235,8 @@ def test_decompose_arcs_block():
         decompose_arcs(spec, xis, (1, 6))
     with pytest.raises(DomainError):
         decompose_arcs(spec, xis[:, :2], (1,))
-    with pytest.raises(InfeasibleScale):
-        decompose_arcs(spec, xis, (1,), budget=100.0)
+    with pytest.raises(InfeasibleScale):  # 3 x (10^5)^2 = 3e10 is over COEFF_COST_BUDGET
+        decompose_arcs(SphereSpec(3, 10**5), xis, (1,))
 
 
 def test_decomposition_n1_has_empty_major():
@@ -254,8 +254,30 @@ def test_major_arcs_count_the_integer_arc_once():
 
 
 def test_decomposition_budget_guard():
-    with pytest.raises(InfeasibleScale):
-        decomposition_error(SphereSpec(2, 10**6), 1, np.zeros(2), budget=1e9)
+    # 2 x (10^6)^2 = 2e12 is over COEFF_COST_BUDGET, and no keyword raises the limit
+    with pytest.raises(InfeasibleScale, match="coefficient extraction estimate"):
+        decomposition_error(SphereSpec(2, 10**6), 1, np.zeros(2))
+    with pytest.raises(TypeError):
+        decomposition_error(SphereSpec(2, 10**6), 1, np.zeros(2), budget=1e20)
+
+
+@pytest.mark.parametrize("over", [False, True])
+def test_coefficient_cost_budget_admits_its_limit(monkeypatch, over):
+    """A d lam^2 equal to COEFF_COST_BUDGET is decomposed; one above is refused before any arc or extraction."""
+    spec, calls = SphereSpec(3, 16), []
+    monkeypatch.setattr(gauss_module, "COEFF_COST_BUDGET", 3 * 16**2 - over)
+    for name in ("_cutoff_sums", "sphere_multiplier_batch"):
+        real = getattr(gauss_module, name)
+        monkeypatch.setattr(gauss_module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    xis = np.full((2, 3), 0.1)
+    if over:
+        with pytest.raises(InfeasibleScale, match="exceeds budget 7.670e"):
+            decompose_arcs(spec, xis, (1, 2))
+        assert calls == []
+    else:
+        arcs = decompose_arcs(spec, xis, (1, 2))
+        assert calls == ["_cutoff_sums", "sphere_multiplier_batch"]
+        assert np.abs(arcs.major + arcs.minor + arcs.error - sphere_multiplier_batch(spec, xis)).max() <= 1e-15
 
 
 def test_decomposition_envelope_overflow_stops_before_the_extraction(monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +8,13 @@ import pytest
 
 from sphlab import lattice
 from sphlab import (
-    CapExceeded,
     DomainError,
     EmptySphere,
     InfeasibleScale,
     SphereSpec,
     density_ratio,
     enumerate_sphere,
+    nonempty_count,
     representation_count,
     sphere_counts,
     surface_measure,
@@ -114,6 +116,41 @@ def test_int64_counts_wrap_past_the_box_bound(monkeypatch):
     assert list(forced) != loop_sphere_counts(24, 100)
 
 
+@pytest.mark.parametrize("d,lam_max", [(1, 50), (2, 50), (3, 50), (5, 30)])
+def test_count_work_limit_admits_its_limit(monkeypatch, d, lam_max):
+    """A table of exactly MAX_COUNT_WORK slice-adds is built; one more is refused before theta_coefficients runs."""
+    work = max(d - 1, 1) * (math.isqrt(lam_max) + 1) * (lam_max + 1)
+    calls = []
+    monkeypatch.setattr(lattice, "theta_coefficients", lambda n: calls.append(n) or theta_coefficients(n))
+    monkeypatch.setattr(lattice, "MAX_COUNT_WORK", work)
+    assert lattice._count_table(d, lam_max).tolist() == list(box_counts(d, lam_max))
+    assert calls == [lam_max]
+    monkeypatch.setattr(lattice, "MAX_COUNT_WORK", work - 1)
+    with pytest.raises(InfeasibleScale, match=f"takes {work} slice-adds, over {work - 1}"):
+        lattice._count_table(d, lam_max)
+    with pytest.raises(InfeasibleScale):
+        lattice.sphere_counts.__wrapped__(d, lam_max)
+    assert calls == [lam_max]
+
+
+def test_count_cache_keeps_a_bounded_number_of_tables():
+    """Counts at 16 radii keep only the cache's four tables alive, not one table per radius."""
+    sphere_counts.cache_clear()
+    one = sphere_counts(4, 5000)
+    size = sys.getsizeof(one) + sum(sys.getsizeof(c) for c in one)
+    del one
+    sphere_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        for lam in range(5001, 5017):
+            nonempty_count(SphereSpec(4, lam))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sphere_counts.cache_info().currsize <= 4
+    assert retained <= 6 * size
+
+
 def jacobi_counts(d: int, n_max: int) -> list[int]:
     """Jacobi's closed forms for r_d(n), 1 <= n <= n_max (index 0 unused).
 
@@ -171,7 +208,7 @@ def test_enumeration_properties():
 
 
 def test_enumeration_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(InfeasibleScale, match="holds 144 points, over the cap 3"):
         enumerate_sphere(SphereSpec(4, 10), 3)
 
 
