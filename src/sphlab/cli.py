@@ -16,7 +16,6 @@ import importlib.resources
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
 from types import SimpleNamespace
 from typing import NoReturn
 
@@ -26,7 +25,7 @@ from .errors import InfeasibleScale, RegimeViolation, SphlabError
 from .gauss import decompose_arcs, verify_gauss_identities
 from .lattice import SphereSpec, _ratio_from_count, sphere_counts, surface_measure
 from .ncmax import empirical_maximal_ratio, order_interval_majorants, random_hermitian_stack
-from .fields import DyadicRange
+from .fields import MAX_SITES, DyadicRange
 from .symbols import _survey_points, fit_small_scale_constant, residual_survey
 
 GAUSS_SUM_TOL = 1e-10
@@ -60,16 +59,6 @@ def _default_thresholds_path() -> str:
     return str(importlib.resources.files("sphlab").joinpath("data/pilot_thresholds.txt"))
 
 
-def _key_values(lines: Iterable[str]) -> Iterator[tuple[int, str, str, str]]:
-    """(line number, line, key, value), all stripped, of each line not blank or a ``#`` comment."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = (part.strip() for part in line.partition("="))
-        yield lineno, line, key, value
-
-
 def _load_thresholds(path: str) -> dict[str, float]:
     """The ``key = value`` lines of a frozen pilot file, none if it is missing.
 
@@ -82,7 +71,11 @@ def _load_thresholds(path: str) -> dict[str, float]:
     except FileNotFoundError:
         return {}
     out: dict[str, float] = {}
-    for lineno, line, key, value in _key_values(lines):
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = (part.strip() for part in line.partition("="))
         try:
             out[key] = float(value)
         except ValueError:
@@ -208,6 +201,12 @@ def cmd_maximal_survey(args) -> int:
     else:
         raise SphlabError("--sides must list one side or one per dimension")
     scales = DyadicRange(tuple(args.scales))
+    family = len(scales.exponents)
+    # the solves keep each stack's majorant until the rows are written, so all the stacks share one budget
+    if args.fiber_trials * family * args.fiber_sites * 4 > MAX_SITES:
+        raise InfeasibleScale(
+            f"{args.fiber_trials * family} x {args.fiber_sites} fibers of size 2 exceed the {MAX_SITES}-entry budget"
+        )
     path = args.thresholds or _default_thresholds_path()
     frozen = _load_thresholds(path)
     rows = []
@@ -229,7 +228,6 @@ def cmd_maximal_survey(args) -> int:
                 failed = True
         else:
             print(f"# no frozen value for {key}; reporting only", file=sys.stderr)
-    family = len(scales.exponents)
     stack_seeds = [args.seed + 1000 + trial for trial in range(args.fiber_trials)]
     solved = [
         # each pass draws the stacks one at a time, as the solver reads them
@@ -260,7 +258,6 @@ def cmd_maximal_survey(args) -> int:
     return 1 if failed else 0
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 # each flag's attribute, reader (None: a boolean set by its presence), default (...: required) and help
 _FLAGS = {
     "--out": ("out", str, None, "CSV output path (default stdout)"),
@@ -304,9 +301,9 @@ def _help(command: str | None) -> str:
     """The usage line, then the help of every command (or of the one) and of its flags."""
     names, flags = (_COMMANDS, _FLAGS) if command is None else ([command], _COMMANDS[command][2])
     return "\n".join([
-        f"usage: sphlab {command or '[--config PATH] COMMAND'} [--flag VALUE | --flag=VALUE ...]",
+        f"usage: sphlab {command or 'COMMAND'} [--flag VALUE | --flag=VALUE ...]",
         *(f"  {name:16}{_COMMANDS[name][1]}" for name in names),
-        "flags (--config PATH reads their defaults from key = value lines):",
+        "flags:",
         *(f"  {flag:16}{_FLAGS[flag][3]}{' (required)' if _FLAGS[flag][2] is ... else ''}" for flag in flags),
     ])
 
@@ -318,44 +315,14 @@ def _fail(command: str | None, message: str) -> NoReturn:
     raise SystemExit(2)
 
 
-def _read(flag: str, text: str, command: str | None, where: str = ""):
-    """The flag's value read from text by its reader, a boolean by ``_BOOLEANS``; a usage error if it cannot."""
-    read = _FLAGS[flag][1]
-    try:
-        return _BOOLEANS[text.lower()] if read is None else read(text)
-    except (KeyError, ValueError):
-        _fail(command, f"{where}{flag} cannot take {text!r} ({_FLAGS[flag][3]})")
-
-
 def _split_values(argv: list[str]) -> list[str]:
     """argv with each ``--flag=value`` split into ``--flag`` and ``value``."""
     return [part for token in argv for part in (token.split("=", 1) if token.startswith("--") else [token])]
 
 
-def _config_defaults(argv: list[str]) -> tuple[list[str], dict]:
-    """argv without its ``--config PATH``, and the flag defaults set by that file's ``key = value`` lines."""
-    if "--config" not in argv:
-        return argv, {}
-    at = argv.index("--config")
-    if at + 1 == len(argv):
-        _fail(None, "--config needs a path")
-    path, defaults = argv[at + 1], {}
-    try:
-        with open(path) as fh:
-            lines = list(_key_values(fh))
-    except (OSError, ValueError) as exc:
-        _fail(None, f"--config: {exc}")
-    for lineno, _, key, value in lines:
-        flag, where = "--" + key.replace("_", "-"), f"--config: {path}:{lineno}: "
-        if flag not in _FLAGS:
-            _fail(None, f"{where}no subcommand has the flag {flag}")
-        defaults[flag] = _read(flag, value, None, where)
-    return argv[:at] + argv[at + 2 :], defaults
-
-
 def _parse(argv: list[str]) -> SimpleNamespace:
     """The command in argv[0] and the values of its flags, the last of a repeated flag winning."""
-    argv, defaults = _config_defaults(_split_values(argv))
+    argv = _split_values(argv)
     command = argv[0] if argv else None
     if "-h" in argv or "--help" in argv:
         print(_help(command if command in _COMMANDS else None))
@@ -363,15 +330,22 @@ def _parse(argv: list[str]) -> SimpleNamespace:
     if command not in _COMMANDS:
         _fail(None, f"the first argument must be a command: {', '.join(_COMMANDS)}")
     flags = _COMMANDS[command][2]
-    values = {flag: defaults.get(flag, _FLAGS[flag][2]) for flag in flags}
+    values = {flag: _FLAGS[flag][2] for flag in flags}
     tokens = iter(argv[1:])
     for token in tokens:
         if token not in flags:
             _fail(command, f"unrecognized argument {token!r}")
-        text = "yes" if _FLAGS[token][1] is None else next(tokens, None)
+        read = _FLAGS[token][1]
+        if read is None:
+            values[token] = True
+            continue
+        text = next(tokens, None)
         if text is None or text.startswith("--"):
             _fail(command, f"{token} needs a value")
-        values[token] = _read(token, text, command)
+        try:
+            values[token] = read(text)
+        except (KeyError, ValueError):
+            _fail(command, f"{token} cannot take {text!r} ({_FLAGS[token][3]})")
     missing = [flag for flag, value in values.items() if value is ...]
     if missing:
         _fail(command, f"missing required flags: {', '.join(missing)}")

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleScale
-from .lattice import SphereSpec, enumerate_sphere, nonempty_count
+from .lattice import SphereSpec, _check_enumerable, enumerate_sphere, nonempty_count
 
 __all__ = [
     "MAX_SITES",
@@ -74,7 +74,6 @@ __all__ = [
 
 MAX_SITES = 1 << 26
 MAX_DENSE_WORK = 1 << 27  # d L^(d+1), the multiply-adds of one real transform
-MAX_SPHERE_POINTS = 2_000_000  # enumeration cap of every sphere an average uses
 _RESIDUE_BLOCK = 1 << 17  # residues per block of the basis build, 1 MiB of intp
 
 
@@ -264,7 +263,8 @@ class _Scratch:
     Every pass is one ``np.matmul`` over slabs of the torus, batched over
     torus axis 0 (``_forward``; ``average`` mirrors it).  Whoever builds a
     scratch owns it: an array read from it is overwritten by its next use.
-    A torus over the site budget or the dense-work budget raises
+    A torus over the site budget or the dense-work budget, or a sphere of
+    more than ``lattice.MAX_SPHERE_POINTS`` points, raises
     ``InfeasibleScale`` before any allocation, and an empty sphere raises
     ``EmptySphere``.
     """
@@ -272,6 +272,9 @@ class _Scratch:
     def __init__(self, lead: tuple[int, ...], d: int, side: int, lams: tuple[int, ...]) -> None:
         _check_sites(d, side)
         _check_dense_work(d, side)
+        spheres = [SphereSpec(d, lam) for lam in lams]
+        for spec in spheres:
+            _check_enumerable(spec, nonempty_count(spec))
         self.lead, self.d, self.side = lead, d, side
         half = side // 2 + 1
         self.freq = np.r_[0:half, 1 : (side + 1) // 2]
@@ -288,7 +291,7 @@ class _Scratch:
             ((slice(None),) * len(lead) + tuple(s for s, _ in choice), tuple(r for _, r in choice))
             for choice in itertools.product(rows, repeat=self.compact)
         ]
-        self.symbols = {lam: self._sphere_symbol(SphereSpec(d, lam)) for lam in lams}
+        self.symbols = {spec.lam: self._sphere_symbol(spec) for spec in spheres}
 
     def _sphere_symbol(self, spec: SphereSpec) -> np.ndarray:
         """The eigenvalue of the sphere average on each basis vector over its squared norm, read-only.
@@ -299,8 +302,7 @@ class _Scratch:
         order, but a multiplier that is not (``_symbol`` of the points
         +-e_1, say) is read correctly only in this layout.
         """
-        nonempty_count(spec)
-        return self._symbol(enumerate_sphere(spec, MAX_SPHERE_POINTS))
+        return self._symbol(enumerate_sphere(spec))
 
     def _symbol(self, points: np.ndarray) -> np.ndarray:
         """The multiplier of the mean over ``points`` (N x d), read-only, in the spectrum's layout.

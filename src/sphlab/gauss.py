@@ -129,7 +129,8 @@ def verify_gauss_identities(q_max: int, d: int) -> GaussIdentityReport:
 
     Both quantities factor over coordinates, so the d-dimensional sup and sum
     are exact powers of their 1-d counterparts; the factorization itself is
-    covered by direct-sum tests at small (q, d).
+    covered by direct-sum tests at small (q, d).  A bound that overflows a
+    float (q = 1 from d = 2048 on) raises ``InfeasibleScale``.
     """
     if q_max < 1 or d < 1:
         raise DomainError("need q_max >= 1 and d >= 1")
@@ -139,7 +140,10 @@ def verify_gauss_identities(q_max: int, d: int) -> GaussIdentityReport:
         mags = np.abs(_gauss_tables(ps, q))
         sums_sq_1d = np.sum(mags * mags, axis=-1).tolist()
         sups_1d = mags.max(axis=-1).tolist()
-        bound = (2.0 / q) ** (d / 2.0)
+        try:
+            bound = (2.0 / q) ** (d / 2.0)
+        except OverflowError:
+            raise InfeasibleScale(f"the bound (2/q)^(d/2) overflows a float at q = {q}, d = {d}") from None
         for p, sum_sq_1d, sup_1d in zip(ps, sums_sq_1d, sups_1d):
             rows.append((q, p, d, abs(sum_sq_1d**d - 1.0), max(0.0, sup_1d**d - bound)))
     return GaussIdentityReport(tuple(rows))

@@ -3,8 +3,8 @@
 The number of representations of lam as a sum of d squares is read off as
 the z^lam coefficient of the d-th power of the truncated theta series
 sum_k z^(k^2), computed with exact integer arithmetic.  Enumeration is a
-fallback for small spheres, gated by a caller-supplied cap.  A table of
-more than ``MAX_COUNT_WORK`` slice-add steps, or a sphere above the cap,
+fallback for small spheres.  A table of more than ``MAX_COUNT_WORK``
+slice-add steps, or a sphere of more than ``MAX_SPHERE_POINTS`` points,
 raises ``InfeasibleScale`` before any allocation.
 """
 
@@ -20,6 +20,7 @@ from .errors import DomainError, EmptySphere, InfeasibleScale
 
 __all__ = [
     "MAX_COUNT_WORK",
+    "MAX_SPHERE_POINTS",
     "SphereSpec",
     "theta_coefficients",
     "sphere_counts",
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 MAX_COUNT_WORK = 1 << 33  # max(d - 1, 1) (isqrt(lam_max) + 1) (lam_max + 1), the slice-add steps of a count table
+MAX_SPHERE_POINTS = 2_000_000  # points of the largest sphere that enumerate_sphere lists
 
 
 @dataclass(frozen=True)
@@ -134,19 +136,26 @@ def _ragged_arange(starts, counts: np.ndarray) -> np.ndarray:
     return np.arange(offsets[-1] + counts[-1]) + np.repeat(starts - offsets, counts)
 
 
-def enumerate_sphere(spec: SphereSpec, cap: int) -> np.ndarray:
+def _check_enumerable(spec: SphereSpec, count: int) -> None:
+    """Raise InfeasibleScale when the sphere's point count r_d(lam) is above ``MAX_SPHERE_POINTS``."""
+    if count > MAX_SPHERE_POINTS:
+        raise InfeasibleScale(
+            f"the sphere |x|^2 = {spec.lam} in Z^{spec.d} holds {count} points, over the cap {MAX_SPHERE_POINTS}"
+        )
+
+
+def enumerate_sphere(spec: SphereSpec) -> np.ndarray:
     """All x in Z^d with |x|^2 = lam, as an (r_d(lam), d) int64 array in lexicographic order.
 
     Raises InfeasibleScale before any allocation when the exact count is
-    above ``cap`` (the caller should switch to coefficient extraction).  Built
+    above ``MAX_SPHERE_POINTS`` (the caller should switch to coefficient
+    extraction).  Built
     from the last coordinate up: the points with |y|^2 = m in Z^j are the
     rows (k, z), k = -isqrt(m)..isqrt(m), z over the shell m - k^2 in
     Z^(j-1); one layer of array operations per coordinate builds every
     remainder m that the leading coordinates leave, and no other.
     """
-    count = representation_count(spec)
-    if count > cap:
-        raise InfeasibleScale(f"the sphere |x|^2 = {spec.lam} in Z^{spec.d} holds {count} points, over the cap {cap}")
+    _check_enumerable(spec, representation_count(spec))
     # top down: each leading coordinate k pairs a remainder m with m - k^2 one layer
     # below; float sqrt floors exactly for m < 2^52, past any count table that fits
     remainders = np.array([spec.lam], dtype=np.int64)

@@ -533,10 +533,8 @@ def empirical_maximal_ratio(
     return MaximalRatioStats(d, side, scales.exponents, trials, seed, tuple(ratios))
 
 
-def random_hermitian_stack(
-    family: int, sites: int, fiber: int, seed: int, real: bool = False
-) -> HermitianStack:
-    """Seeded Gaussian Hermitian family, optionally real symmetric.
+def random_hermitian_stack(family: int, sites: int, fiber: int, seed: int) -> HermitianStack:
+    """Seeded Gaussian Hermitian family: (Z + Z^*) / 2 of a complex Gaussian Z at each site.
 
     A family of more than ``MAX_SITES`` matrix entries raises
     ``InfeasibleScale`` before any allocation.
@@ -546,8 +544,6 @@ def random_hermitian_stack(
             f"{family} x {sites} fibers of size {fiber} exceed the {MAX_SITES}-entry budget"
         )
     rng = Generator(Philox(seed))
-    raw = rng.standard_normal((family, sites, fiber, fiber))
-    if not real:
-        raw = raw + 1j * rng.standard_normal((family, sites, fiber, fiber))
-    herm = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
-    return HermitianStack(herm.astype(complex))
+    shape = (family, sites, fiber, fiber)
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return HermitianStack((raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0)

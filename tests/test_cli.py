@@ -41,6 +41,9 @@ def test_verify_gauss_single_q(tmp_path):
     code, text = run(["verify-gauss", "--qmax", "1", "--d", "2"], tmp_path)
     assert code == 0
     assert len(text.strip().splitlines()) == 2
+    # the bound (2/q)^(d/2) at q = 1 is 2^1023.5 at d = 2047, the last d it is a float (test_float_overflow_exits_3)
+    code, text = run(["verify-gauss", "--qmax", "1", "--d", "2047"], tmp_path)
+    assert code == 0 and text.splitlines()[1].startswith("1,0,2047,")
 
 
 def test_output_determinism(tmp_path):
@@ -239,11 +242,6 @@ def test_maximal_survey_max_iter_budget(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv + [f"--max-iter={bad}", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("max-iter = 0\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg)] + argv + ["--out", str(tmp_path / "x.csv")])
-    assert exc.value.code == 2
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -310,11 +308,6 @@ def test_empty_int_list_exit_2(tmp_path, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + [f"--{flag}", ","] + out)
     assert exc.value.code == 2
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{flag} = ,\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg)] + argv + out)
-    assert exc.value.code == 2
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -338,14 +331,31 @@ def test_maximal_survey_over_dense_work_budget_exit_3(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_maximal_survey_over_fiber_budget_exit_3(tmp_path, capsys):
-    # 10^15 fiber sites: the stack's entry budget is checked before it is drawn
+FIBER_ARGV = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1", "--seed", "7"]
+
+
+def test_maximal_survey_over_fiber_budget_exit_3(tmp_path, monkeypatch, capsys):
+    # 10^15 sites of one stack, or 10^15 stacks: the survey keeps every stack's majorant, so all
+    # the stacks share the entry budget, checked before the ratio survey and before any draw
+    monkeypatch.setattr(cli, "empirical_maximal_ratio", lambda *args: pytest.fail("the ratio survey ran"))
     out = tmp_path / "x.csv"
-    argv = ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1",
-            "--seed", "7", "--fiber-trials", "1", "--fiber-sites", str(10**15), "--out", str(out)]
-    assert main(argv) == 3
-    assert "entry budget" in capsys.readouterr().err
-    assert not out.exists()
+    for trials, sites, stacks in ((1, 10**15, 2), (10**15, 2, 2 * 10**15)):
+        argv = FIBER_ARGV + ["--fiber-trials", str(trials), "--fiber-sites", str(sites), "--out", str(out)]
+        assert main(argv) == 3
+        err = f"infeasible scale: {stacks} x {sites} fibers of size 2 exceed the 67108864-entry budget\n"
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+
+def test_stacks_budget_admits_its_limit(tmp_path, monkeypatch, capsys):
+    # 3 trials x K = 2 x 4 sites x 4 entries = 96
+    argv = FIBER_ARGV + ["--fiber-trials", "3", "--fiber-sites", "4"]
+    monkeypatch.setattr(cli, "MAX_SITES", 96)
+    code, text = run(argv, tmp_path)
+    assert code == 0 and len([line for line in text.splitlines() if line.startswith("majorant,")]) == 6
+    monkeypatch.setattr(cli, "MAX_SITES", 95)
+    assert run(argv, tmp_path, "refused.csv") == (3, "")
+    assert capsys.readouterr().err.endswith("infeasible scale: 6 x 4 fibers of size 2 exceed the 95-entry budget\n")
 
 
 def test_folded_residual_over_rule_budget_exit_3(tmp_path, capsys):
@@ -366,6 +376,7 @@ def test_folded_residual_over_rule_budget_exit_3(tmp_path, capsys):
          "surface measure"),
         (["decompose", "--d", "190", "--lambda", "4", "--nmax", "2", "--samples", "1", "--seed", "1"],
          "envelope"),
+        (["verify-gauss", "--qmax", "1", "--d", "2048"], "the bound (2/q)^(d/2) overflows a float at q = 1, d = 2048"),
     ],
 )
 def test_float_overflow_exits_3(tmp_path, capsys, argv, quantity):
@@ -399,16 +410,10 @@ def test_bad_tol_and_budget_exit_2(tmp_path, capsys, name, argv, value):
     with pytest.raises(SystemExit) as exc:
         main(argv + [f"--{name}={value}"] + out)
     assert exc.value.code == 2
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{name} = {value}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg)] + argv + out)
-    assert exc.value.code == 2
     assert not (tmp_path / "x.csv").exists()
     if name == "budget":
-        # --budget is no flag and budget no config key, whatever the value; 5 x (10^5)^2 is over the constant
-        err = capsys.readouterr().err
-        assert "unrecognized argument '--budget'" in err and "no subcommand has the flag --budget" in err
+        # --budget is no flag, whatever the value; 5 x (10^5)^2 is over the constant
+        assert "unrecognized argument '--budget'" in capsys.readouterr().err
         assert main(argv + out) == 3
 
 
@@ -441,26 +446,7 @@ def test_bad_counts_and_seeds_exit_2(tmp_path, command, name, bad, lowest):
     with pytest.raises(SystemExit) as exc:
         main(argv + [f"--{name}={bad}"])
     assert exc.value.code == 2
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{name} = {bad}\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg)] + argv)
-    assert exc.value.code == 2
     assert not (tmp_path / "x.csv").exists()
-
-
-def test_config_file_defaults(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("qmax = 4\nd = 3\nno-banner = true\n")
-    out = tmp_path / "cfg.csv"
-    code = main(["--config", str(cfg), "verify-gauss", "--out", str(out)])
-    assert code == 0
-    text = out.read_text()
-    assert text.startswith("q,p,d,")
-    # flags still override the config
-    code = main(["--config", str(cfg), "verify-gauss", "--d", "2", "--out", str(out)])
-    assert code == 0
-    assert ",2," in out.read_text().splitlines()[1]
 
 
 def test_missing_flags_exit_2():
@@ -485,14 +471,6 @@ def test_residual_folded_d13(tmp_path):
     )
     assert code == 0
     assert len(text.strip().splitlines()) == 1 + 21 + 1
-
-
-def test_config_malformed_value_exit_2(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("qmax = 4\nd = 3\nbogus = abc\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["--config", str(cfg), "verify-gauss"])
-    assert exc.value.code == 2
 
 
 def test_missing_thresholds_file_exit_2(tmp_path):
@@ -648,27 +626,19 @@ def test_huge_samples_exit_3_before_the_draw(tmp_path, capsys, argv):
     ],
 )
 def test_config_unknown_key_or_bad_value_exit_2(tmp_path, capsys, text, where):
+    # no file of flag defaults is read: --config is an unrecognized argument, whatever the file holds
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
+    for argv in (["--config", str(cfg)], [f"--config={cfg}"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-gauss", "--qmax", "2", "--d", "2"] + argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "sphlab verify-gauss: error: unrecognized argument '--config'" in err and where not in err
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "verify-gauss", "--qmax", "2", "--d", "2"])
     assert exc.value.code == 2
-    assert f"{cfg}{where}" in capsys.readouterr().err
-
-
-def test_config_keys_take_their_flags_types(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "regime = folded\nd = 8\nlambda = 4\nsamples = 5\nseed = 9\nno_banner = yes\n"
-        "fiber-sites = 3\nmax_iter = 7\ntol = 1e-3\nscales = 0,1\n"
-    )
-    args = cli._parse(["--config", str(cfg), "maximal-survey", "--dims", "2", "--sides", "8", "--trials", "1"])
-    assert (args.fiber_sites, args.max_iter, args.tol, args.scales) == (3, 7, 1e-3, [0, 1])
-    assert args.no_banner is True and args.seed == 9
-    out = tmp_path / "r.csv"
-    assert main(["--config", str(cfg), "residual", "--out", str(out)]) == 0
-    assert out.read_text().startswith("xi_hash,")
-    assert len(out.read_text().splitlines()) == 1 + 6 + 1
+    assert "sphlab: error: the first argument must be a command" in capsys.readouterr().err
 
 
 def argparse_parser() -> argparse.ArgumentParser:
@@ -677,7 +647,6 @@ def argparse_parser() -> argparse.ArgumentParser:
         prog="sphlab",
         description="verification surveys for discrete spherical averages and their symbols",
     )
-    parser.add_argument("--config", help="key=value file supplying flag defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -732,49 +701,14 @@ ARGPARSE_REQUIRED = {
     "decompose": ["d", "lam", "nmax", "samples", "seed"],
     "maximal-survey": ["dims", "sides", "trials", "seed"],
 }
-ARGPARSE_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def argparse_apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Oracle: fold key=value config lines in as the argparse parser's flag defaults (flags still win)."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        parser.error("--config needs a path")
-    path = argv[idx + 1]
-    subcommands = parser._subparsers._group_actions[0].choices.values()  # noqa: SLF001
-    with open(path) as fh:
-        for lineno, _, key, value in cli._key_values(fh):
-            flag = "--" + key.replace("_", "-")
-            owners = [sub for sub in subcommands if flag in sub._option_string_actions]  # noqa: SLF001
-            if not owners or flag == "--help":
-                raise ValueError(f"{path}:{lineno}: no subcommand has the flag {flag}")
-            for sub in owners:
-                action = sub._option_string_actions[flag]  # noqa: SLF001
-                try:
-                    if action.nargs == 0:  # a flag without a value reads a boolean
-                        parsed = ARGPARSE_BOOLEANS[value.lower()]
-                    else:
-                        parsed = value if action.type is None else action.type(value)
-                except (KeyError, ValueError):
-                    raise ValueError(f"{path}:{lineno}: {flag} cannot take {value!r}") from None
-                sub.set_defaults(**{action.dest: parsed})
-    return argv[:idx] + argv[idx + 2 :]
-
-
 def argparse_parse(argv: list[str]) -> dict:
     """Oracle: the attributes the argparse route gave the command, up to its required-flag check."""
     parser = argparse_parser()
-    try:
-        argv = argparse_apply_config(parser, list(argv))
-    except (OSError, ValueError) as exc:
-        parser.error(f"--config: {exc}")
     args = parser.parse_args(argv)
     missing = [name for name in ARGPARSE_REQUIRED[args.command] if getattr(args, name) is None]
     if missing:
         parser.error(f"missing required flags for {args.command}: {', '.join(missing)}")
-    return {name: value for name, value in vars(args).items() if name != "config"}
+    return vars(args)
 
 
 def shell_commands(path: str, prefix: str = "sphlab ") -> list[list[str]]:
@@ -813,6 +747,9 @@ CI_COMMANDS = [
     ["maximal-survey", "--dims", "4", "--sides", "33", "--scales", "0,1,2", "--trials", "1", "--seed", "7",
      "--no-banner"],
     ["verify-gauss", "--qmax", "48", "--d", "8", "--no-banner"],
+    ["verify-gauss", "--qmax", "1", "--d", "2048", "--no-banner"],
+    ["maximal-survey", "--dims", "2", "--sides", "8", "--scales", "0,1", "--trials", "1", "--seed", "7",
+     "--fiber-trials", "1000000000000000", "--fiber-sites", "2", "--no-banner"],
     ["decompose", "--d", "5", "--lambda", "1024", "--nmax", "33", "--samples", "2", "--seed", "1", "--no-banner"],
     ["ratio-survey", "--d", "8", "--lambdas", "5", "--out", "missing/x.csv"],
     ["residual", "--regime", "folded", "--d", "8", "--lambda", "1", "--samples", "100000000000000", "--seed", "1",
@@ -842,17 +779,6 @@ OTHER_COMMANDS = [
     ["ratio-survey", "--lambdas", "1,2", "--d", "4", "--lambdas", "3,,4"],
     ["maximal-survey", "--dims", "2", "--sides", "8", "--trials", "1", "--seed", "7", "--refreeze", "--tol=-inf"],
 ]
-# {cfg} is a config file setting d, lambda, samples, seed, no_banner, fiber-sites and max_iter
-CONFIG_COMMANDS = [
-    ["--config", "{cfg}", "residual", "--regime", "small"],
-    ["residual", "--regime", "small", "--config", "{cfg}", "--d", "25"],
-    ["verify-gauss", "--qmax", "6", "--config", "{cfg}"],
-    ["maximal-survey", "--dims", "2", "--sides", "8", "--trials", "1", "--max-iter", "9", "--config", "{cfg}"],
-    ["decompose", "--nmax", "3", "--config", "{cfg}", "--nmin", "2"],
-]
-CONFIG_TEXT = "d = 8\nlambda = 4\nsamples = 5\nseed = 9\nno_banner = yes\nfiber-sites = 3\nmax_iter = 7\n"
-
-
 def parse_corpus() -> list[list[str]]:
     bench = subprocess.run(
         [sys.executable, "-c", BENCH_ARGV_PROBE, os.path.join(REPO, "bench")],
@@ -860,31 +786,20 @@ def parse_corpus() -> list[list[str]]:
     )
     readme = shell_commands(os.path.join(REPO, "README.md"))
     assert len(readme) == 8
-    return readme + CI_COMMANDS + json.loads(bench.stdout) + EQUALS_COMMANDS + OTHER_COMMANDS + CONFIG_COMMANDS
+    return readme + CI_COMMANDS + json.loads(bench.stdout) + EQUALS_COMMANDS + OTHER_COMMANDS
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    cfg = tmp_path_factory.mktemp("config") / "run.cfg"
-    cfg.write_text(CONFIG_TEXT)
-    return [[arg.format(cfg=cfg) for arg in argv] for argv in parse_corpus()]
+def corpus():
+    return parse_corpus()
 
 
 def test_parse_matches_the_argparse_oracle(corpus):
     # every command line of the README, the CI steps and the benchmark, plus the
-    # --flag=value forms, a negative seed, repeated flags and config defaults
+    # --flag=value forms, a negative seed and repeated flags
     assert len(corpus) > 60
     for argv in corpus:
         assert vars(cli._parse(argv)) == argparse_parse(argv), argv
-
-
-def test_config_path_may_follow_an_equals_sign(corpus):
-    # argparse read "--config=PATH" only before the command, and then ignored the file
-    for argv in corpus:
-        if "--config" in argv:
-            at = argv.index("--config")
-            joined = argv[:at] + [f"--config={argv[at + 1]}"] + argv[at + 2 :]
-            assert vars(cli._parse(joined)) == vars(cli._parse(argv))
 
 
 def test_parse_without_splitting_values_fails_the_oracle(corpus, monkeypatch):

@@ -19,7 +19,8 @@ from sphlab import (
     representation_count,
     spherical_average,
 )
-from sphlab.fields import MAX_DENSE_WORK, MAX_SPHERE_POINTS, _forward, _Scratch, _real_basis
+from sphlab.fields import MAX_DENSE_WORK, _forward, _Scratch, _real_basis
+from sphlab.lattice import MAX_SPHERE_POINTS
 from test_symbols import direct_sphere_multiplier
 from transference import (
     apply_multiplier,
@@ -62,7 +63,7 @@ def roll_spherical_average(f: TorusField, spec: SphereSpec) -> TorusField:
     """Spatial oracle: the mean of f(x - y) over the sphere, one periodic shift per point."""
     if spec.d != f.d:
         raise DomainError(f"sphere dimension {spec.d} != field dimension {f.d}")
-    return TorusField(f.d, roll_average(f.values, enumerate_sphere(spec, MAX_SPHERE_POINTS)))
+    return TorusField(f.d, roll_average(f.values, enumerate_sphere(spec)))
 
 
 def test_dft_delta_and_constant():
@@ -422,7 +423,7 @@ def eigenvalues(scratch, lam):
     as the spectrum is.
     """
     d, side = scratch.d, scratch.side
-    points = enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)
+    points = enumerate_sphere(SphereSpec(d, lam))
     weights = np.zeros((side,) * d)
     np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
     half = side // 2 + 1
@@ -450,7 +451,7 @@ def test_scratch_builds_one_symbol_for_every_lead(d, side, lead):
         symbol, own = real.symbols[lam], other.symbols[lam]
         assert own.strides == symbol.strides
         assert np.array_equal(own.view(np.uint64), symbol.view(np.uint64))
-        points = enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)
+        points = enumerate_sphere(SphereSpec(d, lam))
         weights = np.zeros((side,) * d)
         np.add.at(weights, tuple(np.mod(points, side).T), 1.0 / len(points))
         oracle = np.fft.fftn(weights).real[np.ix_(*(freq,) * d)]
@@ -479,7 +480,7 @@ def test_compact_symbol_expands_to_the_full_gather(d, side, lead):
     lams = (1, 4)
     scratch = _Scratch(lead, d, side, lams)
     anisotropic = np.concatenate([np.diag(np.arange(1, d + 1)), -np.diag(np.arange(1, d + 1))])
-    symbols = [(scratch.symbols[lam], enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)) for lam in lams]
+    symbols = [(scratch.symbols[lam], enumerate_sphere(SphereSpec(d, lam))) for lam in lams]
     symbols.append((scratch._symbol(anisotropic), anisotropic))
     buffers = (*scratch.work, scratch.spectrum, scratch.maximum)
     for symbol, points in symbols:
@@ -543,7 +544,7 @@ def test_sphere_average_is_diagonal_in_the_real_basis(d, side, lams):
 def test_half_sphere_average_is_not_diagonal_in_the_real_basis():
     """Negative control: the points of the sphere with y_1 >= 0 are not even in y_1."""
     d, side, lam = 2, 9, 25
-    points = enumerate_sphere(SphereSpec(d, lam), MAX_SPHERE_POINTS)
+    points = enumerate_sphere(SphereSpec(d, lam))
     half = points[points[:, 0] >= 0]
     residuals, _ = basis_residuals(d, side, lambda v: roll_average(v, half))
     assert residuals.max() >= 0.1
@@ -689,6 +690,21 @@ def test_sphere_over_the_enumeration_cap_is_an_infeasible_scale():
     assert representation_count(SphereSpec(6, 1000)) == 16_601_520 > MAX_SPHERE_POINTS
     with pytest.raises(InfeasibleScale, match="16601520 points, over the cap"):
         spherical_average(TorusField.scalar(np.zeros((11,) * 6)), SphereSpec(6, 1000))
+
+
+def test_sphere_over_the_enumeration_cap_is_refused_before_any_buffer():
+    """The (6, 11) scratch's buffers take 54 MiB; a sphere over the cap is refused before the first."""
+    zero = TorusField.scalar(np.zeros((11,) * 6))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleScale, match="16601520 points, over the cap"):
+            spherical_average(zero, SphereSpec(6, 1000))
+        with pytest.raises(InfeasibleScale, match="16601520 points, over the cap"):
+            _Scratch((), 6, 11, (1, 1000))  # the admitted radius 1 builds nothing either
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def outer_product_basis(side: int) -> np.ndarray:

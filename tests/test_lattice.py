@@ -188,18 +188,19 @@ def test_lagrange_four_squares():
 
 
 def test_enumeration_examples():
-    pts = enumerate_sphere(SphereSpec(1, 4), 10)
+    pts = enumerate_sphere(SphereSpec(1, 4))
     assert pts.dtype == np.int64 and pts.tolist() == [[-2], [2]]
-    assert enumerate_sphere(SphereSpec(2, 1), 10).tolist() == [[-1, 0], [0, -1], [0, 1], [1, 0]]
-    assert enumerate_sphere(SphereSpec(3, 2), 100).shape == (12, 3)
+    assert enumerate_sphere(SphereSpec(2, 1)).tolist() == [[-1, 0], [0, -1], [0, 1], [1, 0]]
+    assert enumerate_sphere(SphereSpec(3, 2)).shape == (12, 3)
 
 
-def test_enumeration_properties():
+def test_enumeration_properties(monkeypatch):
     specs = [SphereSpec(d, lam) for d in (1, 2, 3, 4) for lam in (0, 1, 5, 9)] + [SphereSpec(5, 100)]
     for spec in specs:
         count = representation_count(spec)
         # a cap equal to the count enumerates
-        pts = enumerate_sphere(spec, count)
+        monkeypatch.setattr(lattice, "MAX_SPHERE_POINTS", count)
+        pts = enumerate_sphere(spec)
         assert pts.dtype == np.int64 and pts.shape == (count, spec.d)
         rows = [tuple(x) for x in pts.tolist()]
         assert len(set(rows)) == len(rows)
@@ -207,9 +208,13 @@ def test_enumeration_properties():
         assert np.all(np.sum(pts * pts, axis=1) == spec.lam)
 
 
-def test_enumeration_cap():
-    with pytest.raises(InfeasibleScale, match="holds 144 points, over the cap 3"):
-        enumerate_sphere(SphereSpec(4, 10), 3)
+def test_enumeration_cap(monkeypatch):
+    assert lattice.MAX_SPHERE_POINTS == 2_000_000
+    monkeypatch.setattr(lattice, "MAX_SPHERE_POINTS", 144)
+    assert enumerate_sphere(SphereSpec(4, 10)).shape == (144, 4)
+    monkeypatch.setattr(lattice, "MAX_SPHERE_POINTS", 143)
+    with pytest.raises(InfeasibleScale, match="holds 144 points, over the cap 143"):
+        enumerate_sphere(SphereSpec(4, 10))
 
 
 def test_surface_measure():

@@ -63,7 +63,7 @@ def test_sine_periodic_norm_sandwich():
 
 def direct_sphere_multiplier(spec: SphereSpec, xis) -> np.ndarray:
     """Oracle: the mean of e^(2 pi i <xi, x>) over the enumerated sphere, one row per frequency."""
-    pts = np.asarray(enumerate_sphere(spec, 2_000_000), dtype=float)
+    pts = np.asarray(enumerate_sphere(spec), dtype=float)
     return np.exp(2j * np.pi * (np.atleast_2d(xis) @ pts.T)).mean(axis=1)
 
 
