@@ -149,11 +149,11 @@ def enumerate_sphere(spec: SphereSpec) -> np.ndarray:
 
     Raises InfeasibleScale before any allocation when the exact count is
     above ``MAX_SPHERE_POINTS`` (the caller should switch to coefficient
-    extraction).  Built
-    from the last coordinate up: the points with |y|^2 = m in Z^j are the
-    rows (k, z), k = -isqrt(m)..isqrt(m), z over the shell m - k^2 in
-    Z^(j-1); one layer of array operations per coordinate builds every
-    remainder m that the leading coordinates leave, and no other.
+    extraction).  Built from the last coordinate up: the points with
+    |y|^2 = m in Z^j are the rows (k, z), k = -isqrt(m)..isqrt(m), z over
+    the shell m - k^2 in Z^(j-1); one layer of array operations per
+    coordinate builds every remainder m that the leading coordinates
+    leave, and no other.
     """
     _check_enumerable(spec, representation_count(spec))
     # top down: each leading coordinate k pairs a remainder m with m - k^2 one layer
